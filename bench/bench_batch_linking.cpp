@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "common/clock.h"
 #include "common/string_util.h"
 #include "matching/batch_linker.h"
 
@@ -33,9 +34,7 @@ void PrintBatchSummary() {
   BatchLinker linker(&maroon);
   const auto start = std::chrono::steady_clock::now();
   const BatchLinkResult result = linker.LinkAll(dataset, targets);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double seconds = SecondsSince(start);
 
   std::cout << "entities:            " << targets.size() << "\n";
   std::cout << "records assigned:    " << result.assignment.size() << " of "

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/profile_snapshot.h"
@@ -23,12 +24,6 @@
 
 namespace maroon::bench {
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 struct ModeResult {
   double wall_s = 0;

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/clock.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "matching/batch_linker.h"
@@ -21,28 +23,17 @@
 namespace maroon::bench {
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// FNV-1a over the batch assignment map, truncated to 53 bits so the hash
 /// survives the JSON double round-trip exactly. Identical hashes across
 /// thread counts prove the sweep timed the same computation.
 double AssignmentHash(const BatchLinkResult& result) {
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix_byte = [&hash](unsigned char byte) {
-    hash = (hash ^ byte) * 1099511628211ull;
-  };
+  Fnv1a fnv;
   for (const auto& [record, entity] : result.assignment) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      mix_byte(static_cast<unsigned char>(record >> shift));
-    }
-    for (const char c : entity) mix_byte(static_cast<unsigned char>(c));
-    mix_byte(0xff);
+    fnv.U32(record);
+    fnv.Bytes(entity);
+    fnv.Byte(0xff);
   }
-  return static_cast<double>(hash & ((uint64_t{1} << 53) - 1));
+  return static_cast<double>(fnv.hash() & ((uint64_t{1} << 53) - 1));
 }
 
 /// Thread sweep on the paper-sized DBLP corpus: the whole parallel surface
@@ -118,10 +109,7 @@ void PrintScaling() {
     Experiment experiment(&dataset, options);
     const auto train_start = std::chrono::steady_clock::now();
     experiment.Prepare();
-    const double train_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      train_start)
-            .count();
+    const double train_seconds = SecondsSince(train_start);
     const ExperimentResult r = experiment.Run(Method::kMaroon);
     const double per_entity_ms =
         1000.0 * r.total_seconds() /

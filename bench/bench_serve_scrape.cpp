@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "net/http_client.h"
@@ -30,12 +31,6 @@
 
 namespace maroon::bench {
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Fills the global registry with the series mix of a serving process:
 /// the stream/link counters, a handful of gauges, and latency histograms
@@ -50,9 +45,10 @@ void PopulateRegistry() {
       "maroon.phase1.clusters_formed", "maroon.phase2.evidence_updates",
       "maroon.validation.issues",  "maroon.ops.scrapes",
   };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   int64_t base = 1;
   for (const char* name : counters) {
-    MAROON_COUNTER(name)->Add(base);
+    registry.GetCounter(name)->Add(base);
     base += 37;
   }
   MAROON_GAUGE("maroon.stream.queue_depth")->Set(12);
@@ -62,7 +58,7 @@ void PopulateRegistry() {
       "maroon.ops.scrape_seconds",    "maroon.phase1.partition_seconds",
   };
   for (const char* name : histograms) {
-    obs::LatencyHistogram* h = MAROON_LATENCY(name);
+    obs::LatencyHistogram* h = registry.GetLatencyHistogram(name);
     for (int i = 0; i < 10000; ++i) {
       h->Record(1e-5 * (1 + i % 997));
     }

@@ -1,18 +1,19 @@
 // Streaming profile maintenance — the paper's §1 vision in motion: records
 // arrive year by year, and the target's profile grows increasingly complete
-// and up-to-date with each flush.
+// and up-to-date as each step re-links every record gathered so far.
 //
 // Build & run:  cmake --build build && ./build/examples/streaming_updates
 
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "core/profile_algebra.h"
 #include "datagen/recruitment_generator.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
-#include "matching/incremental_linker.h"
+#include "matching/maroon.h"
 
 using namespace maroon;  // NOLINT — example brevity
 
@@ -44,35 +45,37 @@ int main() {
               return a->timestamp() < b->timestamp();
             });
 
-  IncrementalLinker linker(&maroon, (*target)->clean_profile);
   std::cout << "Target " << entity << " (\""
             << (*target)->clean_profile.name() << "\"), "
             << candidates.size() << " candidate records\n\n";
   std::cout << "year   observed  linked  completeness\n";
 
+  // Each step links the whole pool from the original clean profile, so the
+  // trusted history stays authoritative and conclusions drawn from fewer
+  // records are revisited as more evidence arrives.
+  std::vector<const TemporalRecord*> pool;
+  LinkResult latest;
   size_t next = 0;
   for (TimePoint year = candidates.front()->timestamp();
        year <= candidates.back()->timestamp(); year += 5) {
     while (next < candidates.size() &&
            candidates[next]->timestamp() < year + 5) {
-      MAROON_CHECK(linker.Observe(*candidates[next]).ok());
+      pool.push_back(candidates[next]);
       ++next;
     }
-    (void)linker.Flush();
+    latest = maroon.Link((*target)->clean_profile, pool);
     const ProfileQuality quality =
-        CompareProfiles(linker.current_profile(), (*target)->ground_truth,
+        CompareProfiles(latest.match.augmented_profile, (*target)->ground_truth,
                         dataset.attributes());
-    std::cout << year << "   " << linker.NumObserved() << "        "
-              << linker.linked_records().size() << "      "
+    std::cout << year << "   " << pool.size() << "        "
+              << latest.match.matched_records.size() << "      "
               << FormatDouble(quality.completeness, 3) << "\n";
   }
 
   std::cout << "\nFinal timeline:\n"
-            << RenderTimeline(linker.current_profile());
-  const auto pr = ComputePrecisionRecall(
-      std::vector<RecordId>(linker.linked_records().begin(),
-                            linker.linked_records().end()),
-      dataset.TrueMatchesOf(entity));
+            << RenderTimeline(latest.match.augmented_profile);
+  const auto pr = ComputePrecisionRecall(latest.match.matched_records,
+                                         dataset.TrueMatchesOf(entity));
   std::cout << "\nFinal P=" << FormatDouble(pr.precision, 3)
             << " R=" << FormatDouble(pr.recall, 3) << "\n";
   return 0;

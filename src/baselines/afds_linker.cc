@@ -5,16 +5,9 @@
 #include <map>
 
 #include "clustering/partition_clusterer.h"
+#include "common/clock.h"
 
 namespace maroon {
-
-namespace {
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-}  // namespace
 
 AfdsLinker::AfdsLinker(const SimilarityCalculator* similarity,
                        const TemporalModel* temporal_model,

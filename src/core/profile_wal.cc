@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/coding.h"
+#include "common/hash.h"
 #include "core/entity_profile.h"
 #include "core/temporal_sequence.h"
 #include "core/value.h"
@@ -11,29 +12,10 @@ namespace maroon {
 
 namespace {
 
-/// Streaming FNV-1a (64-bit). Strings are length-prefixed into the hash so
-/// ("ab", "c") and ("a", "bc") cannot collide structurally.
-class Fnv1a {
- public:
-  void Byte(uint8_t b) {
-    hash_ ^= b;
-    hash_ *= 1099511628211ull;
-  }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) Byte((v >> (8 * i)) & 0xFF);
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) Byte((v >> (8 * i)) & 0xFF);
-  }
-  void Str(const std::string& s) {
-    U64(s.size());
-    for (char c : s) Byte(static_cast<uint8_t>(c));
-  }
-  uint64_t hash() const { return hash_; }
-
- private:
-  uint64_t hash_ = 1469598103934665603ull;
-};
+/// HashProfileStore's FNV-1a seed. It is one digit short of the standard
+/// offset basis; it stays as it is so store hashes remain comparable across
+/// versions.
+constexpr uint64_t kStoreHashSeed = 1469598103934665603ull;
 
 }  // namespace
 
@@ -120,7 +102,7 @@ Result<EntityId> ApplyRecordToStore(const TemporalRecord& record,
 }
 
 uint64_t HashProfileStore(const ProfileStore& store) {
-  Fnv1a fnv;
+  Fnv1a fnv(kStoreHashSeed);
   const std::vector<EntityId> ids = store.Ids();
   fnv.U64(ids.size());
   for (const EntityId& id : ids) {

@@ -372,26 +372,20 @@ std::optional<Interval> PlausibleWindowOf(const Dataset& dataset) {
 }
 
 void PublishValidationMetrics(const ValidationReport& report) {
-  static obs::Counter* records_checked =
-      MAROON_COUNTER("maroon.validation.records_checked");
-  static obs::Counter* profiles_checked =
-      MAROON_COUNTER("maroon.validation.profiles_checked");
-  static obs::Counter* issues = MAROON_COUNTER("maroon.validation.issues");
-  static obs::Counter* errors = MAROON_COUNTER("maroon.validation.errors");
-  static obs::Counter* quarantined_records =
-      MAROON_COUNTER("maroon.validation.quarantined_records");
-  static obs::Counter* quarantined_rows =
-      MAROON_COUNTER("maroon.validation.quarantined_rows");
-  static obs::Counter* repairs_applied =
-      MAROON_COUNTER("maroon.validation.repairs_applied");
-  records_checked->Add(static_cast<int64_t>(report.records_checked));
-  profiles_checked->Add(static_cast<int64_t>(report.profiles_checked));
-  issues->Add(static_cast<int64_t>(report.issues.size()));
-  errors->Add(static_cast<int64_t>(report.ErrorCount()));
-  quarantined_records->Add(
-      static_cast<int64_t>(report.quarantined_records.size()));
-  quarantined_rows->Add(static_cast<int64_t>(report.quarantined_rows));
-  repairs_applied->Add(static_cast<int64_t>(report.repairs_applied));
+  MAROON_COUNTER("maroon.validation.records_checked")
+      ->Add(static_cast<int64_t>(report.records_checked));
+  MAROON_COUNTER("maroon.validation.profiles_checked")
+      ->Add(static_cast<int64_t>(report.profiles_checked));
+  MAROON_COUNTER("maroon.validation.issues")
+      ->Add(static_cast<int64_t>(report.issues.size()));
+  MAROON_COUNTER("maroon.validation.errors")
+      ->Add(static_cast<int64_t>(report.ErrorCount()));
+  MAROON_COUNTER("maroon.validation.quarantined_records")
+      ->Add(static_cast<int64_t>(report.quarantined_records.size()));
+  MAROON_COUNTER("maroon.validation.quarantined_rows")
+      ->Add(static_cast<int64_t>(report.quarantined_rows));
+  MAROON_COUNTER("maroon.validation.repairs_applied")
+      ->Add(static_cast<int64_t>(report.repairs_applied));
 }
 
 ValidationReport ValidateDataset(Dataset* dataset,

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "baselines/temporal_model.h"
+#include "common/clock.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -13,14 +14,6 @@
 #include "obs/trace.h"
 
 namespace maroon {
-
-namespace {
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-}  // namespace
 
 std::string MethodName(Method method) {
   switch (method) {

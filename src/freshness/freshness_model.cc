@@ -191,10 +191,11 @@ FreshnessModel FreshnessModel::Train(
     if (stats.second == 0) continue;
     const std::string prefix =
         "maroon.freshness.source" + std::to_string(source);
-    MAROON_GAUGE(prefix + ".mean_delay")
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    registry.GetGauge(prefix + ".mean_delay")
         ->Set(static_cast<double>(stats.first) /
               static_cast<double>(stats.second));
-    MAROON_GAUGE(prefix + ".zero_delay_share")
+    registry.GetGauge(prefix + ".zero_delay_share")
         ->Set(static_cast<double>(zero_delay[source]) /
               static_cast<double>(stats.second));
   }

@@ -1,7 +1,6 @@
 #include "matching/batch_linker.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/thread_pool.h"
@@ -57,24 +56,7 @@ BatchLinkResult BatchLinker::LinkAll(
     for (RecordId rid : dataset.CandidatesFor(targets[i])) {
       candidates.push_back(&dataset.record(rid));
     }
-    // Tail-latency instrumentation: one per-entity sample plus the amortized
-    // per-record cost. Clock reads are skipped entirely while metrics are
-    // off so the disabled overhead stays a branch.
-    if (obs::MetricsRegistry::Enabled()) {
-      const auto start = std::chrono::steady_clock::now();
-      linked[i].link = maroon_->Link((*target)->clean_profile, candidates);
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      MAROON_LATENCY("maroon.batch.entity_link_seconds")->Record(seconds);
-      if (!candidates.empty()) {
-        MAROON_LATENCY("maroon.batch.record_link_seconds")
-            ->Record(seconds / static_cast<double>(candidates.size()));
-      }
-    } else {
-      linked[i].link = maroon_->Link((*target)->clean_profile, candidates);
-    }
+    linked[i].link = maroon_->Link((*target)->clean_profile, candidates);
     linked[i].linked = true;
   };
   if (width <= 1) {

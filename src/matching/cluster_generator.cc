@@ -71,9 +71,9 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
   // Lines 8-19: place stale records. Processed in (timestamp, id) order for
   // determinism; each record may land in several clusters, one per attribute
   // whose delayed value plausibly describes that cluster's period (Eq. 10).
-  static obs::Counter* placements_accepted =
+  obs::Counter* placements_accepted =
       MAROON_COUNTER("maroon.phase1.stale_placements_accepted");
-  static obs::Counter* placements_rejected =
+  obs::Counter* placements_rejected =
       MAROON_COUNTER("maroon.phase1.stale_placements_rejected");
   std::vector<const TemporalRecord*> ordered_stale = stale;
   std::stable_sort(ordered_stale.begin(), ordered_stale.end(),
@@ -186,7 +186,7 @@ void ClusterGenerator::ComputeConfidences(
       gc.signature.confidence[attribute] = conf;
       // Eq. 11 confidence distribution; one observation per (cluster,
       // attribute), so histogram locking stays off the hot path.
-      static obs::Histogram* confidence_histogram = MAROON_HISTOGRAM(
+      obs::Histogram* confidence_histogram = MAROON_HISTOGRAM(
           "maroon.phase1.confidence", obs::UnitIntervalBuckets());
       confidence_histogram->Record(conf);
     }

@@ -2,18 +2,11 @@
 
 #include <chrono>
 
+#include "common/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace maroon {
-
-namespace {
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-}  // namespace
 
 Maroon::Maroon(const TransitionModel* transition,
                const FreshnessModel* freshness,

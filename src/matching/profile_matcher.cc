@@ -77,7 +77,7 @@ MatchResult ProfileMatcher::MatchAndAugment(
     const EntityProfile& profile,
     const std::vector<GeneratedCluster>& clusters) const {
   MAROON_TRACE_SPAN("phase2.match_and_augment");
-  static obs::Histogram* score_histogram = MAROON_HISTOGRAM(
+  obs::Histogram* score_histogram = MAROON_HISTOGRAM(
       "maroon.phase2.best_score", obs::UnitIntervalBuckets());
   MatchResult result;
   result.augmented_profile = profile;

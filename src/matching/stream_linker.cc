@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/failpoint.h"
 #include "core/profile_snapshot.h"
 #include "obs/metrics.h"
@@ -15,12 +16,6 @@ const failpoint::Registrar kFpStreamApply{
     "stream.apply.before",
     "crash window after a record is WAL-durable, before it mutates the "
     "store"};
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "maroon/version_info.h"
 #include "obs/json.h"
@@ -51,9 +52,7 @@ double ProcessUptimeSeconds() {
   // there and first-scrape-relative time anywhere else.
   static const std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+  return SecondsSince(start);
 }
 
 void RegisterBuildMetrics() {

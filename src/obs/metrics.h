@@ -20,11 +20,10 @@ namespace obs {
 /// Naming convention: `maroon.<subsystem>.<name>`, e.g.
 /// `maroon.phase1.clusters_formed` (see docs/observability.md for the full
 /// inventory). Metrics are registered lazily on first use and live for the
-/// process lifetime, so instrumentation sites cache the returned pointer in
-/// a function-local static:
+/// process lifetime. The MAROON_* macros below cache the pointer per call
+/// site, so instrumentation sites use them inline:
 ///
-///   static Counter* c = MAROON_COUNTER("maroon.phase1.clusters_formed");
-///   c->Add(clusters.size());
+///   MAROON_COUNTER("maroon.phase1.clusters_formed")->Add(clusters.size());
 ///
 /// The fast path is lock-free: counters and gauges are single relaxed
 /// atomics; histograms serialize on a per-histogram mutex (observations are
@@ -187,15 +186,26 @@ class MetricsRegistry {
 }  // namespace obs
 }  // namespace maroon
 
-/// Registration shorthands for instrumentation sites (cache the result in a
-/// function-local static — registration takes the registry lock).
-#define MAROON_COUNTER(name) \
-  ::maroon::obs::MetricsRegistry::Global().GetCounter(name)
-#define MAROON_GAUGE(name) \
-  ::maroon::obs::MetricsRegistry::Global().GetGauge(name)
+/// Registration shorthands for instrumentation sites. Each expansion caches
+/// the metric pointer in a function-local static of its own, so the registry
+/// lock is taken once per call site, not once per event; that is safe because
+/// pointers stay valid for the process lifetime (ResetAll() zeroes values,
+/// it never unregisters). `name` must be a string literal (the `"" name`
+/// concatenation rejects anything else at compile time) so that one site can
+/// never stand for more than one metric; dynamic names go through
+/// MetricsRegistry::Global().GetX(...) directly. MAROON_HISTOGRAM's `bounds`
+/// are evaluated on a site's first use only.
+#define MAROON_METRIC_SITE_(Type, lookup)                \
+  ([]() -> ::maroon::obs::Type* {                        \
+    static ::maroon::obs::Type* const metric_at_site =   \
+        ::maroon::obs::MetricsRegistry::Global().lookup; \
+    return metric_at_site;                               \
+  }())
+#define MAROON_COUNTER(name) MAROON_METRIC_SITE_(Counter, GetCounter("" name))
+#define MAROON_GAUGE(name) MAROON_METRIC_SITE_(Gauge, GetGauge("" name))
 #define MAROON_HISTOGRAM(name, bounds) \
-  ::maroon::obs::MetricsRegistry::Global().GetHistogram(name, bounds)
+  MAROON_METRIC_SITE_(Histogram, GetHistogram("" name, bounds))
 #define MAROON_LATENCY(name) \
-  ::maroon::obs::MetricsRegistry::Global().GetLatencyHistogram(name)
+  MAROON_METRIC_SITE_(LatencyHistogram, GetLatencyHistogram("" name))
 
 #endif  // MAROON_OBS_METRICS_H_

@@ -4,6 +4,7 @@
 #include <mutex>  // std::call_once
 #include <utility>
 
+#include "common/clock.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -63,9 +64,7 @@ void MetricsSnapshotWriter::WriteRow() {
   // slow and the stream append blocks, and WriteRow invocations never
   // overlap (see the header's out_ contract) — only the status/row-count
   // bookkeeping needs the lock.
-  const double t_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
+  const double t_s = SecondsSince(start_);
   const std::string metrics = MetricsRegistry::Global().SnapshotJson();
 
   JsonWriter head;

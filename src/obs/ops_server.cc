@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "obs/health.h"
 #include "obs/json.h"
@@ -76,17 +77,14 @@ net::HttpResponse OpsServer::Handle(const net::HttpRequest& request) const {
 }
 
 net::HttpResponse OpsServer::Metrics() const {
-  static Counter* scrapes = MAROON_COUNTER("maroon.ops.scrapes");
-  static LatencyHistogram* latency =
-      MAROON_LATENCY("maroon.ops.scrape_seconds");
+  Counter* scrapes = MAROON_COUNTER("maroon.ops.scrapes");
+  LatencyHistogram* latency = MAROON_LATENCY("maroon.ops.scrape_seconds");
   const auto start = std::chrono::steady_clock::now();
   net::HttpResponse response;
   response.content_type = kPrometheusContentType;
   response.body = PrometheusTextFromGlobal();
   scrapes->Add(1);
-  latency->Record(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
+  latency->Record(SecondsSince(start));
   return response;
 }
 

@@ -6,12 +6,6 @@ namespace maroon {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvByte(uint64_t h, uint8_t byte) {
-  return (h ^ byte) * kFnvPrime;
-}
-
 /// Order-dependent combine (boost-style golden-ratio mix), so swapping the
 /// from/to fingerprints changes the key.
 uint64_t Mix(uint64_t h, uint64_t x) {
@@ -21,14 +15,17 @@ uint64_t Mix(uint64_t h, uint64_t x) {
 }  // namespace
 
 void SetFingerprintBuilder::Add(std::string_view value, bool frequent) {
+  // One pass feeds both streams so their multiply chains overlap.
   for (char c : value) {
-    a_ = FnvByte(a_, static_cast<uint8_t>(c));
-    b_ = FnvByte(b_, static_cast<uint8_t>(c));
+    a_.Byte(static_cast<uint8_t>(c));
+    b_.Byte(static_cast<uint8_t>(c));
   }
   // Element separator + the frequent flag; the separator keeps ("ab", "c")
   // and ("a", "bc") distinct.
-  a_ = FnvByte(FnvByte(a_, 0xff), frequent ? 1 : 0);
-  b_ = FnvByte(FnvByte(b_, 0xfe), frequent ? 1 : 0);
+  a_.Byte(0xff);
+  a_.Byte(frequent ? 1 : 0);
+  b_.Byte(0xfe);
+  b_.Byte(frequent ? 1 : 0);
 }
 
 TransitionProbabilityCache::TransitionProbabilityCache(int capacity_log2) {

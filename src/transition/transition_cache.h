@@ -7,6 +7,8 @@
 #include <memory>
 #include <string_view>
 
+#include "common/hash.h"
+
 namespace maroon {
 
 /// 128-bit fingerprint of one mapped value set: two independently seeded
@@ -27,13 +29,13 @@ class SetFingerprintBuilder {
  public:
   void Add(std::string_view value, bool frequent);
 
-  SetFingerprint fingerprint() const { return {a_, b_}; }
+  SetFingerprint fingerprint() const { return {a_.hash(), b_.hash()}; }
 
  private:
-  // FNV-1a offset bases; the second stream is re-seeded so the two 64-bit
-  // halves do not collide together.
-  uint64_t a_ = 14695981039346656037ull;
-  uint64_t b_ = 14695981039346656037ull ^ 0x5851f42d4c957f2dull;
+  // The second stream is re-seeded so the two 64-bit halves do not collide
+  // together.
+  Fnv1a a_;
+  Fnv1a b_{kFnv1aOffsetBasis ^ 0x5851f42d4c957f2dull};
 };
 
 /// A fixed-capacity, insert-only, lock-free memo table mapping

@@ -188,15 +188,14 @@ double TransitionModel::PairProbability(const TransitionTable& table,
 
   // Smoothing-case hit rates (Eq. 1 and Eq. 3-8): one relaxed atomic add per
   // lookup, dominated by the table probes above.
-  static obs::Counter* hits_exact =
-      MAROON_COUNTER("maroon.transition.case_exact");
-  static obs::Counter* hits_case1 =
+  obs::Counter* hits_exact = MAROON_COUNTER("maroon.transition.case_exact");
+  obs::Counter* hits_case1 =
       MAROON_COUNTER("maroon.transition.case1_unseen_pair");
-  static obs::Counter* hits_case2 =
+  obs::Counter* hits_case2 =
       MAROON_COUNTER("maroon.transition.case2_unseen_destination");
-  static obs::Counter* hits_case3 =
+  obs::Counter* hits_case3 =
       MAROON_COUNTER("maroon.transition.case3_unseen_origin");
-  static obs::Counter* hits_case4 =
+  obs::Counter* hits_case4 =
       MAROON_COUNTER("maroon.transition.case4_both_unseen");
 
   // "Unseen transitions are rare": optionally bound smoothed probabilities
@@ -276,9 +275,8 @@ double TransitionModel::CachedSetProbability(
   if (cache_ == nullptr || table == nullptr || table->empty()) {
     return SetProbabilityImpl(table, from, to);
   }
-  static obs::Counter* hits = MAROON_COUNTER("maroon.transition.cache_hits");
-  static obs::Counter* misses =
-      MAROON_COUNTER("maroon.transition.cache_misses");
+  obs::Counter* hits = MAROON_COUNTER("maroon.transition.cache_hits");
+  obs::Counter* misses = MAROON_COUNTER("maroon.transition.cache_misses");
   double value = 0.0;
   if (cache_->Lookup(table->cache_salt(), from_fp, to_fp, &value)) {
     hits->Add();

@@ -126,6 +126,18 @@ TEST(HashTest, DetectsValueTimestampAndNameChanges) {
   EXPECT_NE(HashProfileStore(ProfileStore()), base_hash);
 }
 
+TEST(HashTest, StoreHashIsPinned) {
+  // Golden values: `maroon_cli replay` prints this hash, and hashes printed
+  // by different versions must stay comparable, so the seed and the
+  // traversal order never change.
+  EXPECT_EQ(HashProfileStore(ProfileStore()), 0x47fe0d7eaf8e51e3ull);
+  ProfileStore store;
+  ASSERT_TRUE(ApplyRecordToStore(MakeRecord(1, "ann", 1995), &store).ok());
+  ASSERT_TRUE(ApplyRecordToStore(MakeRecord(2, "bob", 2001, 2), &store).ok());
+  ASSERT_TRUE(ApplyRecordToStore(MakeRecord(3, "ann", 1999), &store).ok());
+  EXPECT_EQ(HashProfileStore(store), 0xf09191beea455d7cull);
+}
+
 class ProfileWalTest : public ::testing::Test {
  protected:
   void SetUp() override {

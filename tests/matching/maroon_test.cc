@@ -124,5 +124,46 @@ TEST_F(MaroonEndToEndTest, PhaseTimingsAccumulate) {
   EXPECT_DOUBLE_EQ(total.total_seconds(), 6.0);
 }
 
+TEST_F(MaroonEndToEndTest, ProfileGrowsAsRecordsArrive) {
+  // The streaming use case of §1: re-linking a growing pool from the same
+  // clean profile yields a more complete profile as records arrive.
+  Maroon maroon(&transition_, &freshness_, &similarity_,
+                testing::PaperAttributes(), Options());
+  // The early records (r1-r4) arrive first.
+  const std::vector<const TemporalRecord*> early(records_.begin(),
+                                                 records_.begin() + 4);
+  const LinkResult first = maroon.Link(testing::DavidBrownProfile(), early);
+  EXPECT_GT(first.match.matched_records.size(), 0u);
+  EXPECT_TRUE(
+      first.match.augmented_profile.sequence(kTitle).ValuesAt(2011).empty());
+
+  // The 2011+ records arrive (r1-r9); the Director promotion is now linked.
+  ASSERT_EQ(records_.size(), 9u);
+  const LinkResult second = maroon.Link(testing::DavidBrownProfile(), records_);
+  EXPECT_GT(second.match.matched_records.size(),
+            first.match.matched_records.size());
+  EXPECT_EQ(second.match.augmented_profile.sequence(kTitle).ValuesAt(2011),
+            MakeValueSet({"Director"}));
+  // The decoy r6 (id 5) still does not link.
+  EXPECT_FALSE(std::binary_search(second.match.matched_records.begin(),
+                                  second.match.matched_records.end(),
+                                  RecordId{5}));
+}
+
+TEST_F(MaroonEndToEndTest, OutOfOrderArrivalIsHandled) {
+  // Candidate order carries no meaning: newest records first link the same.
+  Maroon maroon(&transition_, &freshness_, &similarity_,
+                testing::PaperAttributes(), Options());
+  const std::vector<const TemporalRecord*> newest_first(records_.rbegin(),
+                                                        records_.rend());
+  const LinkResult result =
+      maroon.Link(testing::DavidBrownProfile(), newest_first);
+  EXPECT_FALSE(std::binary_search(result.match.matched_records.begin(),
+                                  result.match.matched_records.end(),
+                                  RecordId{5}));
+  EXPECT_EQ(result.match.augmented_profile.sequence(kTitle).ValuesAt(2011),
+            MakeValueSet({"Director"}));
+}
+
 }  // namespace
 }  // namespace maroon

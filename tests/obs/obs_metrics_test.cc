@@ -164,6 +164,21 @@ TEST_F(MetricsTest, ResetAllZeroesEveryRegisteredMetric) {
   EXPECT_EQ(h->Snapshot().count, 0);
 }
 
+TEST_F(MetricsTest, MacroSiteCachesTheRegistryPointer) {
+  // One call site, evaluated repeatedly: it must hand back the registry's
+  // own pointer every time, including after ResetAll().
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const auto site = [] { return MAROON_COUNTER("maroon.test.cached_site"); };
+  Counter* first = site();
+  EXPECT_EQ(first, registry.GetCounter("maroon.test.cached_site"));
+  EXPECT_EQ(site(), first);
+  first->Add(2);
+  registry.ResetAll();
+  EXPECT_EQ(site(), first);
+  site()->Add(5);
+  EXPECT_EQ(registry.GetCounter("maroon.test.cached_site")->value(), 5);
+}
+
 TEST_F(MetricsTest, SnapshotJsonIsValidAndComplete) {
   MAROON_COUNTER("maroon.test.json_counter")->Add(7);
   MAROON_GAUGE("maroon.test.json_gauge")->Set(0.25);

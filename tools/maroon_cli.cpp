@@ -61,6 +61,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/flags.h"
 #include "common/string_util.h"
@@ -650,9 +651,7 @@ int RunServe(const FlagParser& flags) {
   const auto serve_start = std::chrono::steady_clock::now();
   const auto deadline_passed = [&serve_start, duration_s] {
     if (duration_s <= 0.0) return false;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         serve_start)
-               .count() >= duration_s;
+    return SecondsSince(serve_start) >= duration_s;
   };
 
   // Ingest: replay the corpus through the durable linker while scrapes run.
