@@ -18,7 +18,7 @@
 #include "common/thread_pool.h"
 #include "matching/batch_linker.h"
 #include "matching/maroon.h"
-#include "obs/latency_histogram.h"
+#include "obs/histogram.h"
 
 namespace maroon::bench {
 namespace {

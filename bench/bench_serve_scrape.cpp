@@ -24,7 +24,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "net/http_client.h"
-#include "obs/latency_histogram.h"
+#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/ops_server.h"
 #include "obs/prometheus.h"
@@ -58,7 +58,7 @@ void PopulateRegistry() {
       "maroon.ops.scrape_seconds",    "maroon.phase1.partition_seconds",
   };
   for (const char* name : histograms) {
-    obs::LatencyHistogram* h = registry.GetLatencyHistogram(name);
+    obs::Histogram* h = registry.GetHistogram(name);
     for (int i = 0; i < 10000; ++i) {
       h->Record(1e-5 * (1 + i % 997));
     }

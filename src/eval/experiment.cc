@@ -264,7 +264,7 @@ ExperimentResult Experiment::Run(Method method) const {
     const double link_seconds =
         outcome.phase1_seconds + outcome.phase2_seconds;
     result.per_entity_link_seconds.push_back(link_seconds);
-    MAROON_LATENCY("maroon.experiment.entity_link_seconds")
+    MAROON_HISTOGRAM("maroon.experiment.entity_link_seconds")
         ->Record(link_seconds);
     ++evaluated;
   }

@@ -23,7 +23,7 @@ bool RelaxedAllowlisted(const std::string& guard_path) {
       "src/common/thread_pool.",  // pool tick/steal counters
       "src/common/logging.",      // dropped-line counter
       "src/obs/metrics.",         // Counter/Gauge cells
-      "src/obs/latency_histogram.",  // striped bucket counters
+      "src/obs/histogram.",       // striped bucket counters
       "src/obs/trace.",           // span sequence numbers
       "src/transition/transition_table.",  // cache-hit counter
   };

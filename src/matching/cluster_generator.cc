@@ -185,10 +185,8 @@ void ClusterGenerator::ComputeConfidences(
       }
       gc.signature.confidence[attribute] = conf;
       // Eq. 11 confidence distribution; one observation per (cluster,
-      // attribute), so histogram locking stays off the hot path.
-      obs::Histogram* confidence_histogram = MAROON_HISTOGRAM(
-          "maroon.phase1.confidence", obs::UnitIntervalBuckets());
-      confidence_histogram->Record(conf);
+      // attribute).
+      MAROON_HISTOGRAM("maroon.phase1.confidence")->Record(conf);
     }
   }
 }

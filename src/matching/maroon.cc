@@ -58,7 +58,7 @@ LinkResult Maroon::Link(
   }
   result.num_clusters = clusters.size();
   result.timings.phase1_seconds = SecondsSince(start);
-  MAROON_LATENCY("maroon.link.phase1_seconds")
+  MAROON_HISTOGRAM("maroon.link.phase1_seconds")
       ->Record(result.timings.phase1_seconds);
 
   start = std::chrono::steady_clock::now();
@@ -68,11 +68,11 @@ LinkResult Maroon::Link(
     result.match = matcher.MatchAndAugment(clean_profile, clusters);
   }
   result.timings.phase2_seconds = SecondsSince(start);
-  MAROON_LATENCY("maroon.link.phase2_seconds")
+  MAROON_HISTOGRAM("maroon.link.phase2_seconds")
       ->Record(result.timings.phase2_seconds);
   // Per-entity link latency as the tail-latency histograms see it: both
   // phases, from already-taken clock reads (no extra reads on this path).
-  MAROON_LATENCY("maroon.link.entity_seconds")
+  MAROON_HISTOGRAM("maroon.link.entity_seconds")
       ->Record(result.timings.phase1_seconds + result.timings.phase2_seconds);
   return result;
 }

@@ -77,8 +77,8 @@ MatchResult ProfileMatcher::MatchAndAugment(
     const EntityProfile& profile,
     const std::vector<GeneratedCluster>& clusters) const {
   MAROON_TRACE_SPAN("phase2.match_and_augment");
-  obs::Histogram* score_histogram = MAROON_HISTOGRAM(
-      "maroon.phase2.best_score", obs::UnitIntervalBuckets());
+  obs::Histogram* score_histogram =
+      MAROON_HISTOGRAM("maroon.phase2.best_score");
   MatchResult result;
   result.augmented_profile = profile;
   EntityProfile& working = result.augmented_profile;

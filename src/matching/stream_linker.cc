@@ -172,7 +172,7 @@ Status StreamLinker::DrainImpl() {
     ++applied_since_snapshot_;
     MAROON_COUNTER("maroon.stream.applied")->Add();
     if (timed) {
-      MAROON_LATENCY("maroon.stream.record_seconds")
+      MAROON_HISTOGRAM("maroon.stream.record_seconds")
           ->Record(SecondsSince(start));
     }
     MAROON_RETURN_IF_ERROR(MaybeSnapshot(/*force=*/false));

@@ -1,6 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -80,73 +79,6 @@ void Gauge::Set(double value) {
   value_.store(value, std::memory_order_relaxed);
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  MAROON_CHECK(!bounds_.empty()) << "histogram needs at least one bucket";
-  MAROON_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
-      << "histogram bounds must ascend";
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::Record(double value) {
-  if (!MetricsRegistry::Enabled()) return;
-  const size_t bucket =
-      static_cast<size_t>(std::lower_bound(bounds_.begin(), bounds_.end(),
-                                           value) -
-                          bounds_.begin());
-  MutexLock lock(&mu_);
-  ++counts_[bucket];
-  sum_ += value;
-  if (count_ == 0 || value < min_) min_ = value;
-  if (count_ == 0 || value > max_) max_ = value;
-  ++count_;
-}
-
-HistogramSnapshot Histogram::Snapshot() const {
-  HistogramSnapshot snapshot;
-  snapshot.bounds = bounds_;
-  MutexLock lock(&mu_);
-  snapshot.counts = counts_;
-  snapshot.count = count_;
-  snapshot.sum = sum_;
-  snapshot.min = min_;
-  snapshot.max = max_;
-  return snapshot;
-}
-
-void Histogram::Reset() {
-  MutexLock lock(&mu_);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
-std::vector<double> UnitIntervalBuckets() {
-  std::vector<double> bounds;
-  bounds.reserve(20);
-  for (int i = 1; i <= 20; ++i) bounds.push_back(0.05 * i);
-  return bounds;
-}
-
-std::vector<double> LatencySecondsBuckets() {
-  std::vector<double> bounds;
-  double bound = 1e-5;
-  for (int i = 0; i <= 10; ++i) {
-    bounds.push_back(bound);
-    bound *= 4.0;
-  }
-  return bounds;
-}
-
-std::vector<double> SmallCountBuckets() {
-  std::vector<double> bounds;
-  for (double bound = 1.0; bound <= 1024.0; bound *= 2.0) {
-    bounds.push_back(bound);
-  }
-  return bounds;
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
@@ -162,8 +94,7 @@ bool MetricsRegistry::Enabled() {
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   MutexLock lock(&mu_);
-  MAROON_CHECK(gauges_.count(name) == 0 && histograms_.count(name) == 0 &&
-               latency_histograms_.count(name) == 0)
+  MAROON_CHECK(gauges_.count(name) == 0 && histograms_.count(name) == 0)
       << "metric '" << name << "' already registered with another kind";
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
@@ -172,33 +103,19 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   MutexLock lock(&mu_);
-  MAROON_CHECK(counters_.count(name) == 0 && histograms_.count(name) == 0 &&
-               latency_histograms_.count(name) == 0)
+  MAROON_CHECK(counters_.count(name) == 0 && histograms_.count(name) == 0)
       << "metric '" << name << "' already registered with another kind";
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
   return slot.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   MutexLock lock(&mu_);
-  MAROON_CHECK(counters_.count(name) == 0 && gauges_.count(name) == 0 &&
-               latency_histograms_.count(name) == 0)
+  MAROON_CHECK(counters_.count(name) == 0 && gauges_.count(name) == 0)
       << "metric '" << name << "' already registered with another kind";
   auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(std::move(bounds));
-  return slot.get();
-}
-
-LatencyHistogram* MetricsRegistry::GetLatencyHistogram(
-    const std::string& name) {
-  MutexLock lock(&mu_);
-  MAROON_CHECK(counters_.count(name) == 0 && gauges_.count(name) == 0 &&
-               histograms_.count(name) == 0)
-      << "metric '" << name << "' already registered with another kind";
-  auto& slot = latency_histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
+  if (slot == nullptr) slot = std::make_unique<Histogram>();
   return slot.get();
 }
 
@@ -222,9 +139,6 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   }
   for (const auto& [name, histogram] : histograms_) {
     snapshot.histograms[name] = histogram->Snapshot();
-  }
-  for (const auto& [name, histogram] : latency_histograms_) {
-    snapshot.latency_histograms[name] = histogram->Snapshot();
   }
   return snapshot;
 }
@@ -251,23 +165,6 @@ std::string MetricsRegistry::SnapshotJson() const {
     w.Key("min").Number(h.min);
     w.Key("max").Number(h.max);
     w.Key("mean").Number(h.Mean());
-    w.Key("bounds").BeginArray();
-    for (const double bound : h.bounds) w.Number(bound);
-    w.EndArray();
-    w.Key("counts").BeginArray();
-    for (const int64_t count : h.counts) w.Int(count);
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndObject();
-  w.Key("latency_histograms").BeginObject();
-  for (const auto& [name, h] : snapshot.latency_histograms) {
-    w.Key(name).BeginObject();
-    w.Key("count").Int(h.count);
-    w.Key("sum").Number(h.sum);
-    w.Key("min").Number(h.min);
-    w.Key("max").Number(h.max);
-    w.Key("mean").Number(h.Mean());
     w.Key("p50").Number(h.P50());
     w.Key("p90").Number(h.P90());
     w.Key("p95").Number(h.P95());
@@ -285,7 +182,6 @@ void MetricsRegistry::ResetAll() {
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-  for (auto& [name, histogram] : latency_histograms_) histogram->Reset();
 }
 
 }  // namespace obs

@@ -69,7 +69,7 @@ void MetricsSnapshotWriter::WriteRow() {
 
   JsonWriter head;
   head.BeginObject();
-  head.Key("schema").String("maroon_metrics_snapshot_v1");
+  head.Key("schema").String("maroon_metrics_snapshot_v2");
   head.Key("seq").Int(seq);
   head.Key("t_s").Number(t_s);
   // Splice the registry's own JSON in verbatim rather than re-serializing,

@@ -18,13 +18,12 @@ namespace obs {
 
 /// Periodic metrics time series: while alive, appends one JSONL row with the
 /// global registry's full snapshot every `period_s` seconds, so a long batch
-/// run leaves behind the *trajectory* of its counters and latency
+/// run leaves behind the *trajectory* of its counters and histogram
 /// percentiles, not just the end state. One row per line, schema
-/// `maroon_metrics_snapshot_v1`:
+/// `maroon_metrics_snapshot_v2`:
 ///
-///   {"schema": "maroon_metrics_snapshot_v1", "seq": 0, "t_s": 10.0,
-///    "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...},
-///                "latency_histograms": {...}}}
+///   {"schema": "maroon_metrics_snapshot_v2", "seq": 0, "t_s": 10.0,
+///    "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}}}
 ///
 /// `t_s` is steady-clock seconds since the writer started; `seq` ascends
 /// from 0. Stop() (also run by the destructor) writes one final row so the

@@ -78,7 +78,7 @@ net::HttpResponse OpsServer::Handle(const net::HttpRequest& request) const {
 
 net::HttpResponse OpsServer::Metrics() const {
   Counter* scrapes = MAROON_COUNTER("maroon.ops.scrapes");
-  LatencyHistogram* latency = MAROON_LATENCY("maroon.ops.scrape_seconds");
+  Histogram* latency = MAROON_HISTOGRAM("maroon.ops.scrape_seconds");
   const auto start = std::chrono::steady_clock::now();
   net::HttpResponse response;
   response.content_type = kPrometheusContentType;

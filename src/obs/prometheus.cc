@@ -212,6 +212,16 @@ std::string PrometheusEscapeLabel(const std::string& value) {
   return out;
 }
 
+std::vector<double> ScrapeBucketBounds() {
+  std::vector<double> bounds;
+  double bound = 1e-5;
+  for (int i = 0; i <= 10; ++i) {
+    bounds.push_back(bound);
+    bound *= 4.0;
+  }
+  return bounds;
+}
+
 std::string PrometheusText(const MetricsRegistry::Snapshot& snapshot) {
   std::string out;
   std::set<std::string> emitted;
@@ -240,23 +250,12 @@ std::string PrometheusText(const MetricsRegistry::Snapshot& snapshot) {
     }
     out.append(prom).append(" ").append(PromNumber(value)).append("\n");
   }
+  const std::vector<double> ladder = ScrapeBucketBounds();
   for (const auto& [name, h] : snapshot.histograms) {
     const std::string prom = PrometheusName(name);
     if (!ClaimSeries(prom, name, &emitted, &out)) continue;
     EmitHeader(prom, "histogram", &out);
-    int64_t cumulative = 0;
-    for (size_t i = 0; i < h.bounds.size(); ++i) {
-      cumulative += i < h.counts.size() ? h.counts[i] : 0;
-      EmitBucketLine(prom, PromNumber(h.bounds[i]), cumulative, &out);
-    }
-    EmitBucketLine(prom, "+Inf", h.count, &out);
-    EmitSumCount(prom, h.sum, h.count, &out);
-  }
-  for (const auto& [name, h] : snapshot.latency_histograms) {
-    const std::string prom = PrometheusName(name);
-    if (!ClaimSeries(prom, name, &emitted, &out)) continue;
-    EmitHeader(prom, "histogram", &out);
-    for (const double bound : LatencySecondsBuckets()) {
+    for (const double bound : ladder) {
       EmitBucketLine(prom, PromNumber(bound), h.CountAtOrBelow(bound), &out);
     }
     EmitBucketLine(prom, "+Inf", h.count, &out);

@@ -18,17 +18,20 @@ namespace obs {
 ///    -> `maroon_phase1_confidence`); every series gets `# TYPE` and
 ///    `# HELP` headers;
 ///  - counters / gauges: one sample line each;
-///  - fixed-bucket histograms: cumulative `name_bucket{le="<bound>"}`
-///    series over the registered bounds plus `le="+Inf"`, then `name_sum`
-///    and `name_count`;
-///  - latency histograms: the same shape, downsampled to the
-///    LatencySecondsBuckets() ladder (1e-5 * 4^k) — Prometheus does not
-///    need the ~2800 fine buckets to reconstruct quantiles at scrape
-///    resolution.
+///  - histograms: cumulative `name_bucket{le="<bound>"}` series over the
+///    ScrapeBucketBounds() ladder plus `le="+Inf"`, then `name_sum` and
+///    `name_count` — Prometheus does not need the ~2800 fine buckets to
+///    reconstruct quantiles at scrape resolution. Every family, latency or
+///    [0, 1] score, shares the one ladder.
 ///
 /// Renders from `snapshot`, so one consistent snapshot can feed both the
 /// JSON and the Prometheus artifacts.
 std::string PrometheusText(const MetricsRegistry::Snapshot& snapshot);
+
+/// The `le` ladder every histogram family renders on: 1e-5 * 4^k for
+/// k = 0..10 (10 us to ~10 s for latencies; a [0, 1] score fills the upper
+/// rungs).
+std::vector<double> ScrapeBucketBounds();
 
 /// PrometheusText over the global registry's current snapshot.
 std::string PrometheusTextFromGlobal();

@@ -26,10 +26,22 @@ std::string Iso8601UtcNow() {
   return buffer;
 }
 
+namespace {
+
+/// Four significant digits: one format for seconds (1.234e-05) and [0, 1]
+/// scores (0.8125) alike, since a histogram carries no unit.
+std::string SignificantDigits(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.4g", value);
+  return buffer;
+}
+
+}  // namespace
+
 std::string BuildRunReportJson(const RunReportOptions& options) {
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema").String("maroon_run_report_v1");
+  w.Key("schema").String("maroon_run_report_v2");
   w.Key("generated_at")
       .String(options.include_timestamp ? Iso8601UtcNow() : "");
   w.Key("config").BeginObject();
@@ -84,21 +96,12 @@ std::string RenderRunReportText(const RunReportOptions& options) {
     os << "histograms:\n";
     for (const auto& [name, h] : snapshot.histograms) {
       os << "  " << name << ": count=" << h.count
-         << " mean=" << FormatDouble(h.Mean(), 4)
-         << " min=" << FormatDouble(h.min, 4)
-         << " max=" << FormatDouble(h.max, 4) << "\n";
-    }
-  }
-  if (!snapshot.latency_histograms.empty()) {
-    os << "latency (ms):\n";
-    for (const auto& [name, h] : snapshot.latency_histograms) {
-      os << "  " << name << ": count=" << h.count
-         << " p50=" << FormatDouble(h.P50() * 1e3, 3)
-         << " p90=" << FormatDouble(h.P90() * 1e3, 3)
-         << " p95=" << FormatDouble(h.P95() * 1e3, 3)
-         << " p99=" << FormatDouble(h.P99() * 1e3, 3)
-         << " p999=" << FormatDouble(h.P999() * 1e3, 3)
-         << " max=" << FormatDouble(h.max * 1e3, 3) << "\n";
+         << " mean=" << SignificantDigits(h.Mean())
+         << " p50=" << SignificantDigits(h.P50())
+         << " p90=" << SignificantDigits(h.P90())
+         << " p99=" << SignificantDigits(h.P99())
+         << " p999=" << SignificantDigits(h.P999())
+         << " max=" << SignificantDigits(h.max) << "\n";
     }
   }
   os << "trace: " << Tracer::Global().span_count() << " span(s), "

@@ -12,14 +12,13 @@ namespace obs {
 
 /// End-of-run summary: a snapshot of the global metrics registry and tracer
 /// plus the run's configuration, emitted as JSON (machines) or a table
-/// (humans). Schema `maroon_run_report_v1`:
+/// (humans). Schema `maroon_run_report_v2`:
 ///
 ///   {
-///     "schema": "maroon_run_report_v1",
+///     "schema": "maroon_run_report_v2",
 ///     "generated_at": "2015-06-04T12:00:00Z",   // "" when suppressed
 ///     "config": {"command": "link", "data": "corpus/", ...},
-///     "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...},
-///                 "latency_histograms": {...}},
+///     "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
 ///     "trace": {"enabled": true, "span_count": 42,
 ///               "root_span_seconds": 1.25}
 ///   }
@@ -39,8 +38,8 @@ struct RunReportOptions {
 std::string BuildRunReportJson(const RunReportOptions& options = {});
 
 /// A human-readable summary table of the same snapshot: config, non-zero
-/// counters, gauges, histogram digests, latency percentiles (p50..p999, in
-/// milliseconds), and trace totals.
+/// counters, gauges, histogram digests (count, mean, p50..p999 and max, in
+/// the recorded unit), and trace totals.
 std::string RenderRunReportText(const RunReportOptions& options = {});
 
 /// Writes `content` to `path` atomically enough for CLI use (truncate +

@@ -55,7 +55,7 @@ TEST_F(MetricsSnapshotterTest, StopWritesFinalRowEvenForShortRuns) {
   ASSERT_TRUE(row.ok()) << row.status();
   const JsonValue* schema = row->Find("schema");
   ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->string_value, "maroon_metrics_snapshot_v1");
+  EXPECT_EQ(schema->string_value, "maroon_metrics_snapshot_v2");
   const JsonValue* seq = row->Find("seq");
   ASSERT_NE(seq, nullptr);
   EXPECT_DOUBLE_EQ(seq->number_value, 0.0);

@@ -41,51 +41,17 @@ TEST_F(MetricsTest, GaugeKeepsLastValue) {
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
-TEST_F(MetricsTest, HistogramBucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0, 4.0});
-  h.Record(0.5);  // bucket 0: v <= 1
-  h.Record(1.0);  // bucket 0: boundary values land in their own bucket
-  h.Record(1.5);  // bucket 1
-  h.Record(4.0);  // bucket 2
-  h.Record(4.5);  // overflow
-  const HistogramSnapshot s = h.Snapshot();
-  EXPECT_EQ(s.bounds, (std::vector<double>{1.0, 2.0, 4.0}));
-  EXPECT_EQ(s.counts, (std::vector<int64_t>{2, 1, 1, 1}));
-  EXPECT_EQ(s.count, 5);
-  EXPECT_DOUBLE_EQ(s.sum, 11.5);
-  EXPECT_DOUBLE_EQ(s.min, 0.5);
-  EXPECT_DOUBLE_EQ(s.max, 4.5);
-  EXPECT_DOUBLE_EQ(s.Mean(), 2.3);
-}
-
-TEST_F(MetricsTest, HistogramOverflowBucketCatchesEverythingAbove) {
-  Histogram h({1.0});
-  h.Record(1000.0);
-  h.Record(1e9);
-  const HistogramSnapshot s = h.Snapshot();
-  ASSERT_EQ(s.counts.size(), 2u);
-  EXPECT_EQ(s.counts[0], 0);
-  EXPECT_EQ(s.counts[1], 2);
-}
-
 TEST_F(MetricsTest, HistogramResetZeroesStateButKeepsBounds) {
-  Histogram h({1.0, 2.0});
+  Histogram h;
   h.Record(0.5);
   h.Reset();
   const HistogramSnapshot s = h.Snapshot();
   EXPECT_EQ(s.count, 0);
-  EXPECT_EQ(s.counts, (std::vector<int64_t>{0, 0, 0}));
-  EXPECT_EQ(s.bounds, (std::vector<double>{1.0, 2.0}));
   EXPECT_DOUBLE_EQ(s.Mean(), 0.0);
-}
-
-TEST_F(MetricsTest, CanonicalBucketShapes) {
-  EXPECT_EQ(UnitIntervalBuckets().size(), 20u);
-  EXPECT_DOUBLE_EQ(UnitIntervalBuckets().front(), 0.05);
-  EXPECT_DOUBLE_EQ(UnitIntervalBuckets().back(), 1.0);
-  EXPECT_EQ(SmallCountBuckets().front(), 1.0);
-  EXPECT_EQ(SmallCountBuckets().back(), 1024.0);
-  EXPECT_EQ(LatencySecondsBuckets().size(), 11u);
+  // The bucket layout is the type's own and survives the reset.
+  EXPECT_EQ(s.counts.size(), static_cast<size_t>(Histogram::kNumBuckets + 1));
+  h.Record(0.5);
+  EXPECT_EQ(h.Snapshot().count, 1);
 }
 
 TEST_F(MetricsTest, ConcurrentCounterIncrementsLoseNothing) {
@@ -104,7 +70,7 @@ TEST_F(MetricsTest, ConcurrentCounterIncrementsLoseNothing) {
 }
 
 TEST_F(MetricsTest, ConcurrentHistogramRecordsLoseNothing) {
-  Histogram h({0.5, 1.0});
+  Histogram h;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 2000;
   std::vector<std::thread> threads;  // maroon-lint: allow(R008)
@@ -118,9 +84,10 @@ TEST_F(MetricsTest, ConcurrentHistogramRecordsLoseNothing) {
   for (std::thread& t : threads) t.join();  // maroon-lint: allow(R008)
   const HistogramSnapshot s = h.Snapshot();
   EXPECT_EQ(s.count, kThreads * kPerThread);
-  EXPECT_EQ(s.counts[0], kThreads / 2 * kPerThread);
-  EXPECT_EQ(s.counts[1], kThreads / 2 * kPerThread);
-  EXPECT_EQ(s.counts[2], 0);
+  EXPECT_EQ(s.CountAtOrBelow(0.5), kThreads / 2 * kPerThread);
+  EXPECT_EQ(s.CountAtOrBelow(1.0), s.count);
+  EXPECT_DOUBLE_EQ(s.min, 0.25);
+  EXPECT_DOUBLE_EQ(s.max, 0.75);
 }
 
 TEST_F(MetricsTest, RegistryReturnsStablePointersPerName) {
@@ -128,19 +95,16 @@ TEST_F(MetricsTest, RegistryReturnsStablePointersPerName) {
   Counter* b = MAROON_COUNTER("maroon.test.stable");
   EXPECT_EQ(a, b);
   EXPECT_NE(a, MAROON_COUNTER("maroon.test.other"));
-  Histogram* h1 =
-      MAROON_HISTOGRAM("maroon.test.hist", (std::vector<double>{1.0, 2.0}));
-  // Bounds of an existing histogram are immutable; the second registration's
-  // bounds are ignored.
-  Histogram* h2 = MAROON_HISTOGRAM("maroon.test.hist", {99.0});
+  Histogram* h1 = MAROON_HISTOGRAM("maroon.test.hist");
+  Histogram* h2 = MAROON_HISTOGRAM("maroon.test.hist");
   EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h2->Snapshot().bounds, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(h1, MetricsRegistry::Global().GetHistogram("maroon.test.hist"));
 }
 
 TEST_F(MetricsTest, DisabledRegistryDropsMutations) {
   Counter* c = MAROON_COUNTER("maroon.test.disabled");
   Gauge* g = MAROON_GAUGE("maroon.test.disabled_gauge");
-  Histogram* h = MAROON_HISTOGRAM("maroon.test.disabled_hist", {1.0});
+  Histogram* h = MAROON_HISTOGRAM("maroon.test.disabled_hist");
   MetricsRegistry::SetEnabled(false);
   c->Add(5);
   g->Set(5.0);
@@ -154,7 +118,7 @@ TEST_F(MetricsTest, DisabledRegistryDropsMutations) {
 TEST_F(MetricsTest, ResetAllZeroesEveryRegisteredMetric) {
   Counter* c = MAROON_COUNTER("maroon.test.reset_counter");
   Gauge* g = MAROON_GAUGE("maroon.test.reset_gauge");
-  Histogram* h = MAROON_HISTOGRAM("maroon.test.reset_hist", {1.0});
+  Histogram* h = MAROON_HISTOGRAM("maroon.test.reset_hist");
   c->Add(3);
   g->Set(3.0);
   h->Record(0.5);
@@ -182,8 +146,7 @@ TEST_F(MetricsTest, MacroSiteCachesTheRegistryPointer) {
 TEST_F(MetricsTest, SnapshotJsonIsValidAndComplete) {
   MAROON_COUNTER("maroon.test.json_counter")->Add(7);
   MAROON_GAUGE("maroon.test.json_gauge")->Set(0.25);
-  Histogram* h = MAROON_HISTOGRAM("maroon.test.json_hist",
-                                  (std::vector<double>{0.5, 1.0}));
+  Histogram* h = MAROON_HISTOGRAM("maroon.test.json_hist");
   h->Record(0.4);
   h->Record(0.9);
   auto parsed = ParseJson(MetricsRegistry::Global().SnapshotJson());
@@ -200,10 +163,16 @@ TEST_F(MetricsTest, SnapshotJsonIsValidAndComplete) {
       parsed->Find("histograms")->Find("maroon.test.json_hist");
   ASSERT_NE(hist, nullptr);
   EXPECT_DOUBLE_EQ(hist->Find("count")->number_value, 2.0);
-  ASSERT_EQ(hist->Find("counts")->array.size(), 3u);
-  EXPECT_DOUBLE_EQ(hist->Find("counts")->array[0].number_value, 1.0);
-  EXPECT_DOUBLE_EQ(hist->Find("counts")->array[1].number_value, 1.0);
   EXPECT_DOUBLE_EQ(hist->Find("mean")->number_value, 0.65);
+  EXPECT_DOUBLE_EQ(hist->Find("min")->number_value, 0.4);
+  EXPECT_DOUBLE_EQ(hist->Find("max")->number_value, 0.9);
+  // The percentile digest, not the raw buckets.
+  for (const char* key : {"p50", "p90", "p95", "p99", "p999"}) {
+    EXPECT_NE(hist->Find(key), nullptr) << key;
+  }
+  EXPECT_EQ(hist->Find("counts"), nullptr);
+  // One object per metric kind: counters, gauges, histograms.
+  EXPECT_EQ(parsed->object.size(), 3u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -48,41 +49,63 @@ TEST_F(PrometheusTest, CountersAndGaugesRenderOneSampleEach) {
   EXPECT_TRUE(Contains(text, "maroon_test_ratio 0.5\n")) << text;
 }
 
-TEST_F(PrometheusTest, FixedHistogramRendersCumulativeBuckets) {
+/// Occurrences of `needle` in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(PrometheusTest, ScoreHistogramRendersOnSharedLadder) {
+  // An Eq. 15-style best-score family in [0, 1] renders on the same ladder
+  // as the latency families: no per-family bounds.
+  Histogram h;
+  for (const double score : {0.05, 0.5, 0.5, 0.9, 1.0}) h.Record(score);
   MetricsRegistry::Snapshot snapshot;
-  HistogramSnapshot h;
-  h.bounds = {1.0, 2.0, 4.0};
-  h.counts = {3, 2, 0, 1};  // last is overflow (> 4.0)
-  h.count = 6;
-  h.sum = 9.5;
-  snapshot.histograms["maroon.test.sizes"] = h;
+  snapshot.histograms["maroon.test.best_score"] = h.Snapshot();
   const std::string text = PrometheusText(snapshot);
-  EXPECT_TRUE(Contains(text, "# TYPE maroon_test_sizes histogram")) << text;
-  // Buckets are cumulative, not per-bin.
-  EXPECT_TRUE(Contains(text, "maroon_test_sizes_bucket{le=\"1\"} 3\n"))
+  EXPECT_TRUE(Contains(text, "# TYPE maroon_test_best_score histogram"))
       << text;
-  EXPECT_TRUE(Contains(text, "maroon_test_sizes_bucket{le=\"2\"} 5\n"))
+  // Cumulative over the 1e-5 * 4^k rungs; a [0, 1] score fills the top
+  // ones.
+  EXPECT_TRUE(
+      Contains(text, "maroon_test_best_score_bucket{le=\"0.04096\"} 0\n"))
       << text;
-  EXPECT_TRUE(Contains(text, "maroon_test_sizes_bucket{le=\"4\"} 5\n"))
+  EXPECT_TRUE(
+      Contains(text, "maroon_test_best_score_bucket{le=\"0.16384\"} 1\n"))
       << text;
-  EXPECT_TRUE(Contains(text, "maroon_test_sizes_bucket{le=\"+Inf\"} 6\n"))
+  EXPECT_TRUE(
+      Contains(text, "maroon_test_best_score_bucket{le=\"0.65536\"} 3\n"))
       << text;
-  EXPECT_TRUE(Contains(text, "maroon_test_sizes_sum 9.5\n")) << text;
-  EXPECT_TRUE(Contains(text, "maroon_test_sizes_count 6\n")) << text;
+  EXPECT_TRUE(
+      Contains(text, "maroon_test_best_score_bucket{le=\"2.62144\"} 5\n"))
+      << text;
+  EXPECT_TRUE(
+      Contains(text, "maroon_test_best_score_bucket{le=\"+Inf\"} 5\n"))
+      << text;
+  EXPECT_TRUE(Contains(text, "maroon_test_best_score_sum 2.95\n")) << text;
+  EXPECT_TRUE(Contains(text, "maroon_test_best_score_count 5\n")) << text;
+  EXPECT_EQ(CountOf(text, "maroon_test_best_score_bucket{le="),
+            ScrapeBucketBounds().size() + 1);
+  const std::vector<std::string> problems = PrometheusLint(text);
+  EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
 TEST_F(PrometheusTest, LatencyHistogramDownsamplesToScrapeLadder) {
-  LatencyHistogram h;
+  Histogram h;
   h.Record(0.00005);  // 50us
   h.Record(0.003);    // 3ms
   h.Record(0.003);
   h.Record(2.0);      // 2s
   MetricsRegistry::Snapshot snapshot;
-  snapshot.latency_histograms["maroon.test.link_seconds"] = h.Snapshot();
+  snapshot.histograms["maroon.test.link_seconds"] = h.Snapshot();
   const std::string text = PrometheusText(snapshot);
   EXPECT_TRUE(Contains(text, "# TYPE maroon_test_link_seconds histogram"))
       << text;
-  // The ladder is LatencySecondsBuckets(): 1e-5 * 4^k. Spot-check the
+  // The ladder is ScrapeBucketBounds(): 1e-5 * 4^k. Spot-check the
   // cumulative counts at a few rungs against CountAtOrBelow semantics.
   EXPECT_TRUE(
       Contains(text, "maroon_test_link_seconds_bucket{le=\"1e-05\"} 0\n"))
@@ -98,19 +121,13 @@ TEST_F(PrometheusTest, LatencyHistogramDownsamplesToScrapeLadder) {
       << text;
   EXPECT_TRUE(Contains(text, "maroon_test_link_seconds_count 4\n")) << text;
   // Every rung of the ladder plus +Inf is present exactly once.
-  size_t rungs = 0;
-  size_t pos = 0;
-  const std::string needle = "maroon_test_link_seconds_bucket{le=";
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
-    ++rungs;
-    pos += needle.size();
-  }
-  EXPECT_EQ(rungs, LatencySecondsBuckets().size() + 1);
+  EXPECT_EQ(CountOf(text, "maroon_test_link_seconds_bucket{le="),
+            ScrapeBucketBounds().size() + 1);
 }
 
 TEST_F(PrometheusTest, GlobalRenderPicksUpRegisteredMetrics) {
   MAROON_COUNTER("maroon.test.prom_counter")->Add(7);
-  MAROON_LATENCY("maroon.test.prom_seconds")->Record(0.001);
+  MAROON_HISTOGRAM("maroon.test.prom_seconds")->Record(0.001);
   const std::string text = PrometheusTextFromGlobal();
   EXPECT_TRUE(Contains(text, "maroon_test_prom_counter 7\n")) << text;
   EXPECT_TRUE(Contains(text, "maroon_test_prom_seconds_count 1\n")) << text;
@@ -184,7 +201,7 @@ TEST_F(PrometheusTest, UptimeAdvancesAcrossSnapshots) {
 TEST_F(PrometheusTest, RealExportLintsClean) {
   MAROON_COUNTER("maroon.test.lint_rows")->Add(12);
   MAROON_GAUGE("maroon.test.lint_ratio")->Set(0.25);
-  MAROON_LATENCY("maroon.test.lint_seconds")->Record(0.004);
+  MAROON_HISTOGRAM("maroon.test.lint_seconds")->Record(0.004);
   const std::vector<std::string> problems =
       PrometheusLint(PrometheusTextFromGlobal());
   EXPECT_TRUE(problems.empty())

@@ -37,11 +37,10 @@ RunReportOptions PrepareFixedRunState() {
   Tracer::Global().Clear();
   MAROON_COUNTER("maroon.test.records")->Add(42);
   MAROON_GAUGE("maroon.test.mean_delay")->Set(1.5);
-  Histogram* h = MAROON_HISTOGRAM("maroon.test.score",
-                                  (std::vector<double>{0.5, 1.0}));
+  Histogram* h = MAROON_HISTOGRAM("maroon.test.score");
   h->Record(0.25);
   h->Record(0.75);
-  LatencyHistogram* latency = MAROON_LATENCY("maroon.test.link_seconds");
+  Histogram* latency = MAROON_HISTOGRAM("maroon.test.link_seconds");
   latency->Record(0.001);
   latency->Record(0.002);
   RunReportOptions options;
@@ -65,7 +64,7 @@ TEST(RunReportTest, JsonRoundTripsThroughParser) {
   const RunReportOptions options = PrepareFixedRunState();
   auto parsed = ParseJson(BuildRunReportJson(options));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->Find("schema")->string_value, "maroon_run_report_v1");
+  EXPECT_EQ(parsed->Find("schema")->string_value, "maroon_run_report_v2");
   EXPECT_EQ(parsed->Find("generated_at")->string_value, "");
   const JsonValue* config = parsed->Find("config");
   ASSERT_NE(config, nullptr);
@@ -79,8 +78,9 @@ TEST(RunReportTest, JsonRoundTripsThroughParser) {
       metrics->Find("histograms")->Find("maroon.test.score");
   ASSERT_NE(hist, nullptr);
   EXPECT_DOUBLE_EQ(hist->Find("count")->number_value, 2.0);
+  EXPECT_DOUBLE_EQ(hist->Find("mean")->number_value, 0.5);
   const JsonValue* latency =
-      metrics->Find("latency_histograms")->Find("maroon.test.link_seconds");
+      metrics->Find("histograms")->Find("maroon.test.link_seconds");
   ASSERT_NE(latency, nullptr);
   EXPECT_DOUBLE_EQ(latency->Find("count")->number_value, 2.0);
   EXPECT_DOUBLE_EQ(latency->Find("max")->number_value, 0.002);
@@ -112,11 +112,14 @@ TEST(RunReportTest, TextRenderingListsNonZeroCountersAndTrace) {
   EXPECT_NE(text.find("maroon.test.records = 42"), std::string::npos);
   // Zero-valued counters are elided from the table.
   EXPECT_EQ(text.find("maroon.test.silent"), std::string::npos);
-  EXPECT_NE(text.find("maroon.test.score: count=2"), std::string::npos);
-  // Latency histograms render a percentile row in milliseconds.
-  EXPECT_NE(text.find("latency (ms):"), std::string::npos) << text;
+  // Every histogram renders one percentile row, in the recorded unit.
+  EXPECT_NE(text.find("histograms:"), std::string::npos) << text;
+  EXPECT_NE(text.find("maroon.test.score: count=2 mean=0.5"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("maroon.test.link_seconds: count=2"), std::string::npos)
       << text;
+  EXPECT_NE(text.find("max=0.002\n"), std::string::npos) << text;
   EXPECT_NE(text.find("p999="), std::string::npos) << text;
   EXPECT_NE(text.find("disabled"), std::string::npos);
 }

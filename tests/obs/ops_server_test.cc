@@ -55,7 +55,7 @@ TEST_F(OpsServerTest, MetricsRouteRendersPrometheusAndLintsClean) {
   auto server = StartServer();
   ASSERT_NE(server, nullptr);
   MAROON_COUNTER("maroon.test.ops_counter")->Add(3);
-  MAROON_LATENCY("maroon.test.ops_seconds")->Record(0.002);
+  MAROON_HISTOGRAM("maroon.test.ops_seconds")->Record(0.002);
   const net::HttpResponse response = server->Handle(Get("/metrics"));
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.content_type,

@@ -231,7 +231,7 @@ TEST_F(CliTest, ObservabilityFlagsWriteMetricsTraceAndReport) {
   EXPECT_NE(trace.find("\"phase1.partition\""), std::string::npos);
 
   const std::string report = ReadFile(dir_ + "/report.json");
-  EXPECT_NE(report.find("\"maroon_run_report_v1\""), std::string::npos);
+  EXPECT_NE(report.find("\"maroon_run_report_v2\""), std::string::npos);
   EXPECT_NE(report.find("\"command\": \"link\""), std::string::npos);
   EXPECT_NE(report.find("\"metrics\""), std::string::npos);
 
@@ -285,10 +285,11 @@ TEST_F(CliTest, MetricsJsonlWritesSnapshotSeries) {
       << out;
   const std::string jsonl = ReadFile(dir_ + "/metrics.jsonl");
   // At least the final row (written on Stop) is present and well-formed.
-  EXPECT_NE(jsonl.find("\"maroon_metrics_snapshot_v1\""), std::string::npos)
+  EXPECT_NE(jsonl.find("\"maroon_metrics_snapshot_v2\""), std::string::npos)
       << jsonl;
   EXPECT_NE(jsonl.find("\"seq\": 0"), std::string::npos) << jsonl;
-  EXPECT_NE(jsonl.find("\"latency_histograms\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"maroon.link.entity_seconds\""), std::string::npos);
 
   // --metrics-every-s without --metrics-jsonl is a usage error.
   EXPECT_NE(Run("stats --data=" + dir_ + "/data --metrics-every-s=1", &out),

@@ -43,14 +43,14 @@
 //                       write the snapshot in Prometheus text exposition
 //                       format (scrape-compatible, format 0.0.4)
 //   --metrics-jsonl=FILE
-//                       append periodic maroon_metrics_snapshot_v1 rows to
+//                       append periodic maroon_metrics_snapshot_v2 rows to
 //                       FILE while the command runs (a final row is always
 //                       written on exit)
 //   --metrics-every-s=S period for --metrics-jsonl, seconds (default 10)
 //   --trace-out=FILE    enable span tracing, write Chrome trace_event JSON
 //                       (loadable in chrome://tracing / ui.perfetto.dev)
 //   --run-report[=FILE] print a human-readable run report; with =FILE,
-//                       write the maroon_run_report_v1 JSON instead
+//                       write the maroon_run_report_v2 JSON instead
 
 #include <csignal>
 #include <cstdio>
@@ -518,6 +518,31 @@ int EmitStreamState(const FlagParser& flags, const std::string& state) {
   return 0;
 }
 
+/// Submits one record, draining the admission queue once when it is full
+/// (backpressure: after the drain the same record must fit). A degenerate
+/// record is not an error: the linker counts it under stats().rejected.
+Status SubmitWithBackpressure(StreamLinker* linker,
+                              const TemporalRecord& record) {
+  Status submitted = linker->Submit(record);
+  if (submitted.code() == StatusCode::kResourceExhausted) {
+    MAROON_RETURN_IF_ERROR(linker->Drain());
+    submitted = linker->Submit(record);
+  }
+  if (submitted.code() == StatusCode::kInvalidArgument) return Status::OK();
+  return submitted;
+}
+
+/// The `record_latency_ms:` summary line for replay/serve; empty before the
+/// first record is applied.
+std::string RecordLatencyLine() {
+  const obs::HistogramSnapshot latency =
+      MAROON_HISTOGRAM("maroon.stream.record_seconds")->Snapshot();
+  if (latency.count == 0) return "";
+  return "record_latency_ms: p50=" + FormatDouble(latency.P50() * 1e3, 3) +
+         " p99=" + FormatDouble(latency.P99() * 1e3, 3) +
+         " p999=" + FormatDouble(latency.P999() * 1e3, 3) + "\n";
+}
+
 int RunReplay(const FlagParser& flags) {
   auto dataset = LoadData(flags);
   if (!dataset.ok()) return Fail(dataset.status());
@@ -528,17 +553,7 @@ int RunReplay(const FlagParser& flags) {
   if (!linker.ok()) return Fail(linker.status());
 
   for (const TemporalRecord& record : dataset->records()) {
-    Status submitted = linker->Submit(record);
-    if (submitted.code() == StatusCode::kResourceExhausted) {
-      // Backpressure: the admission queue is full. Drain it, then the same
-      // record must fit.
-      const Status drained = linker->Drain();
-      if (!drained.ok()) return Fail(drained);
-      submitted = linker->Submit(record);
-    }
-    if (submitted.code() == StatusCode::kInvalidArgument) {
-      continue;  // degenerate record — counted under stats().rejected
-    }
+    const Status submitted = SubmitWithBackpressure(&linker.value(), record);
     if (!submitted.ok()) return Fail(submitted);
   }
   const Status closed = linker->Close();
@@ -548,16 +563,7 @@ int RunReplay(const FlagParser& flags) {
   summary << "replay: streamed " << dataset->NumRecords()
           << " record(s) through " << options->wal_path << "\n"
           << DescribeStreamState(*linker);
-  if (obs::MetricsRegistry::Enabled()) {
-    const auto latency =
-        MAROON_LATENCY("maroon.stream.record_seconds")->Snapshot();
-    if (latency.count > 0) {
-      summary << "record_latency_ms: p50="
-              << FormatDouble(latency.P50() * 1e3, 3)
-              << " p99=" << FormatDouble(latency.P99() * 1e3, 3)
-              << " p999=" << FormatDouble(latency.P999() * 1e3, 3) << "\n";
-    }
-  }
+  if (obs::MetricsRegistry::Enabled()) summary << RecordLatencyLine();
   return EmitStreamState(flags, summary.str());
 }
 
@@ -587,15 +593,7 @@ extern "C" void HandleShutdownSignal(int /*signum*/) {
 /// the same way `replay` does. Per-record draining keeps the
 /// maroon.stream.record_seconds latency live for scrapes.
 Status ServeOneRecord(StreamLinker* linker, const TemporalRecord& record) {
-  Status submitted = linker->Submit(record);
-  if (submitted.code() == StatusCode::kResourceExhausted) {
-    MAROON_RETURN_IF_ERROR(linker->Drain());
-    submitted = linker->Submit(record);
-  }
-  if (submitted.code() == StatusCode::kInvalidArgument) {
-    return Status::OK();  // degenerate record — counted under rejected
-  }
-  MAROON_RETURN_IF_ERROR(submitted);
+  MAROON_RETURN_IF_ERROR(SubmitWithBackpressure(linker, record));
   return linker->Drain();
 }
 
@@ -704,14 +702,7 @@ int RunServe(const FlagParser& flags) {
           << options->wal_path << "\n"
           << DescribeStreamState(*linker);
   if (obs::MetricsRegistry::Enabled()) {
-    const auto latency =
-        MAROON_LATENCY("maroon.stream.record_seconds")->Snapshot();
-    if (latency.count > 0) {
-      summary << "record_latency_ms: p50="
-              << FormatDouble(latency.P50() * 1e3, 3)
-              << " p99=" << FormatDouble(latency.P99() * 1e3, 3)
-              << " p999=" << FormatDouble(latency.P999() * 1e3, 3) << "\n";
-    }
+    summary << RecordLatencyLine();
     const auto scrapes = MAROON_COUNTER("maroon.ops.scrapes")->value();
     summary << "scrapes=" << scrapes << "\n";
   }

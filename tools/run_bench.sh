@@ -313,7 +313,7 @@ if ! grep -q '# TYPE maroon_link_entity_seconds histogram' \
   echo "FAIL: $ARTIFACTS/smoke_metrics.prom lacks the per-entity latency histogram" >&2
   exit 1
 fi
-if ! grep -q '"maroon_metrics_snapshot_v1"' "$ARTIFACTS/smoke_metrics.jsonl"; then
+if ! grep -q '"maroon_metrics_snapshot_v2"' "$ARTIFACTS/smoke_metrics.jsonl"; then
   echo "FAIL: $ARTIFACTS/smoke_metrics.jsonl has no snapshot rows" >&2
   exit 1
 fi
