@@ -363,8 +363,9 @@ Status WalWriter::Append(uint64_t seq, std::string_view payload) {
   }
   last_seq_ = seq;
   ++frames_appended_;
+  ++frames_since_sync_;
   if (options_.sync_every > 0 &&
-      ++frames_since_sync_ >= options_.sync_every) {
+      frames_since_sync_ >= static_cast<uint64_t>(options_.sync_every)) {
     MAROON_RETURN_IF_ERROR(Sync());
   }
   return Status::OK();

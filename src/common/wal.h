@@ -138,6 +138,8 @@ class WalWriter {
   uint64_t last_seq() const { return last_seq_; }
   uint64_t frames_appended() const { return frames_appended_; }
   uint64_t syncs() const { return syncs_; }
+  /// Frames appended since the last fsync, counted at every cadence.
+  uint64_t unsynced_frames() const { return frames_since_sync_; }
   /// Bytes dropped by the torn-tail repair in Open (0 for a clean log).
   uint64_t repaired_bytes() const { return repaired_bytes_; }
 
@@ -155,7 +157,7 @@ class WalWriter {
   uint64_t frames_appended_ = 0;
   uint64_t syncs_ = 0;
   uint64_t repaired_bytes_ = 0;
-  int frames_since_sync_ = 0;
+  uint64_t frames_since_sync_ = 0;
   /// Enforces the single-owner contract on Append/Sync/Close.
   ThreadChecker thread_checker_;
 };

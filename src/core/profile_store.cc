@@ -1,21 +1,42 @@
 #include "core/profile_store.h"
 
 #include <algorithm>
-#include <set>
 
 namespace maroon {
 
+namespace {
+
+bool HoldsAt(const TemporalSequence& seq, const Value& value, TimePoint t) {
+  const std::vector<Interval> intervals = seq.IntervalsOf(value);
+  return std::any_of(intervals.begin(), intervals.end(),
+                     [t](const Interval& iv) { return iv.Contains(t); });
+}
+
+}  // namespace
+
 void ProfileStore::Put(EntityProfile profile) {
-  profiles_[profile.id()] = std::move(profile);
-  index_dirty_ = true;
+  auto [it, inserted] = profiles_.try_emplace(profile.id());
+  if (!inserted) DropName(it->first, it->second.name());
+  std::vector<EntityId>& ids = by_name_[profile.name()];
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), it->first), it->first);
+  it->second = std::move(profile);
 }
 
 Status ProfileStore::Remove(const EntityId& id) {
-  if (profiles_.erase(id) == 0) {
+  auto it = profiles_.find(id);
+  if (it == profiles_.end()) {
     return Status::NotFound("no profile with id " + id);
   }
-  index_dirty_ = true;
+  DropName(id, it->second.name());
+  profiles_.erase(it);
   return Status::OK();
+}
+
+void ProfileStore::DropName(const EntityId& id, const std::string& name) {
+  auto bucket = by_name_.find(name);
+  std::vector<EntityId>& ids = bucket->second;
+  ids.erase(std::lower_bound(ids.begin(), ids.end(), id));
+  if (ids.empty()) by_name_.erase(bucket);
 }
 
 Result<const EntityProfile*> ProfileStore::Get(const EntityId& id) const {
@@ -26,26 +47,7 @@ Result<const EntityProfile*> ProfileStore::Get(const EntityId& id) const {
   return &it->second;
 }
 
-void ProfileStore::RebuildIndexIfNeeded() const {
-  if (!index_dirty_) return;
-  index_.clear();
-  by_name_.clear();
-  for (const auto& [id, profile] : profiles_) {
-    by_name_[profile.name()].push_back(id);
-    for (const auto& [attribute, seq] : profile.sequences()) {
-      auto& per_value = index_[attribute];
-      for (const Triple& tr : seq.triples()) {
-        for (const Value& v : tr.values) {
-          per_value[v].push_back(Posting{id, tr.interval});
-        }
-      }
-    }
-  }
-  index_dirty_ = false;
-}
-
 std::vector<EntityId> ProfileStore::FindByName(const std::string& name) const {
-  RebuildIndexIfNeeded();
   auto it = by_name_.find(name);
   return it != by_name_.end() ? it->second : std::vector<EntityId>{};
 }
@@ -53,31 +55,21 @@ std::vector<EntityId> ProfileStore::FindByName(const std::string& name) const {
 std::vector<EntityId> ProfileStore::FindByValueAt(const Attribute& attribute,
                                                   const Value& value,
                                                   TimePoint t) const {
-  RebuildIndexIfNeeded();
   std::vector<EntityId> out;
-  auto attr_it = index_.find(attribute);
-  if (attr_it == index_.end()) return out;
-  auto value_it = attr_it->second.find(value);
-  if (value_it == attr_it->second.end()) return out;
-  for (const Posting& p : value_it->second) {
-    if (p.interval.Contains(t)) out.push_back(p.entity);
+  for (const auto& [id, profile] : profiles_) {
+    if (HoldsAt(profile.sequence(attribute), value, t)) out.push_back(id);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 std::vector<EntityId> ProfileStore::FindByValue(const Attribute& attribute,
                                                 const Value& value) const {
-  RebuildIndexIfNeeded();
   std::vector<EntityId> out;
-  auto attr_it = index_.find(attribute);
-  if (attr_it == index_.end()) return out;
-  auto value_it = attr_it->second.find(value);
-  if (value_it == attr_it->second.end()) return out;
-  for (const Posting& p : value_it->second) out.push_back(p.entity);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  for (const auto& [id, profile] : profiles_) {
+    if (!profile.sequence(attribute).IntervalsOf(value).empty()) {
+      out.push_back(id);
+    }
+  }
   return out;
 }
 
@@ -99,13 +91,15 @@ std::vector<EntityId> ProfileStore::CoOccurring(const EntityId& id,
   auto profile = Get(id);
   if (!profile.ok()) return out;
   const ValueSet values = (*profile)->sequence(attribute).ValuesAt(t);
-  std::set<EntityId> seen;
-  for (const Value& v : values) {
-    for (const EntityId& other : FindByValueAt(attribute, v, t)) {
-      if (other != id) seen.insert(other);
+  for (const auto& [other_id, other] : profiles_) {
+    if (other_id == id) continue;
+    const TemporalSequence& seq = other.sequence(attribute);
+    if (std::any_of(values.begin(), values.end(), [&](const Value& v) {
+          return HoldsAt(seq, v, t);
+        })) {
+      out.push_back(other_id);
     }
   }
-  out.assign(seen.begin(), seen.end());
   return out;
 }
 

@@ -18,9 +18,10 @@ namespace maroon {
 /// aggregation): once temporal linkage has built per-entity histories, the
 /// store answers point-in-time questions about them.
 ///
-/// Queries run against an inverted (attribute, value) -> (entity, interval)
-/// index that is rebuilt lazily after mutations; reads are O(log) in the
-/// index plus output size.
+/// Put and Remove keep a name -> ids index current, so FindByName costs
+/// O(log store) plus output size and no write ever touches the whole store.
+/// FindByValue, FindByValueAt and CoOccurring scan every profile's sequence
+/// for the attribute: O(store x triples), for occasional queries only.
 class ProfileStore {
  public:
   ProfileStore() = default;
@@ -63,18 +64,12 @@ class ProfileStore {
   std::vector<EntityId> Ids() const;
 
  private:
-  struct Posting {
-    EntityId entity;
-    Interval interval;
-  };
-
-  void RebuildIndexIfNeeded() const;
+  /// Removes `id` from the bucket of `name`, dropping the bucket if empty.
+  void DropName(const EntityId& id, const std::string& name);
 
   std::map<EntityId, EntityProfile> profiles_;
-  // Lazily rebuilt inverted index and name map.
-  mutable std::map<Attribute, std::map<Value, std::vector<Posting>>> index_;
-  mutable std::map<std::string, std::vector<EntityId>> by_name_;
-  mutable bool index_dirty_ = false;
+  /// Display name -> ids holding it, ascending; no bucket is ever empty.
+  std::map<std::string, std::vector<EntityId>> by_name_;
 };
 
 }  // namespace maroon

@@ -100,6 +100,7 @@ class ProfileWal {
   uint64_t last_seq() const { return writer_.last_seq(); }
   uint64_t frames_appended() const { return writer_.frames_appended(); }
   uint64_t syncs() const { return writer_.syncs(); }
+  uint64_t unsynced_frames() const { return writer_.unsynced_frames(); }
   uint64_t repaired_bytes() const { return writer_.repaired_bytes(); }
 
  private:

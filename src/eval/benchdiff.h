@@ -12,17 +12,18 @@ namespace maroon {
 /// Perf-regression gate over two `maroon_bench_runtime_v1` baselines (the
 /// documents tools/run_bench.sh writes). Rows are matched by identity —
 /// bench name, string labels, and the identity numerics (threads, entities,
-/// records) — then every timing metric (fields ending `_s` or `_ms`) is
-/// compared; `tools/maroon_benchdiff` turns the report into an exit code so
-/// run_bench.sh and CI can fail on a slowdown instead of eyeballing JSON.
+/// records) — then every timing metric (fields ending `_s` or `_ms`, except
+/// `_per_s` rates) is compared; `tools/maroon_benchdiff` turns the report
+/// into an exit code so run_bench.sh and CI can fail on a slowdown instead
+/// of eyeballing JSON.
 ///
 /// Gate semantics:
 ///  - a timing metric regresses when it grew more than `threshold_pct`
 ///    percent over baseline AND either side is at or above the
 ///    `min_seconds` noise floor (sub-floor timings jitter too much on
 ///    shared CI runners to gate);
-///  - non-timing numerics (`overhead_pct`, `speedup_8v1`, counts) are
-///    reported with their deltas but never gated;
+///  - non-timing numerics (`overhead_pct`, `speedup_8v1`, `records_per_s`,
+///    counts) are reported with their deltas but never gated;
 ///  - `result_hash` is skipped entirely: it fingerprints the computed
 ///    assignment, which legitimately changes when the algorithm does
 ///    (run_bench.sh separately enforces hash equality *across thread

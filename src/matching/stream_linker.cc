@@ -115,8 +115,13 @@ Status StreamLinker::MaybeSnapshot(bool force) {
                  applied_since_snapshot_ < options_.snapshot_every)) {
     return Status::OK();
   }
-  const Status written =
-      WriteSnapshot(store_, wal_.last_seq(), options_.snapshot_dir);
+  // A snapshot never covers a frame that is not yet durable: after a power
+  // loss the WAL could otherwise end below the snapshot's last_seq, and the
+  // writer would reissue seqs that recovery then skips as already folded in.
+  Status written = wal_.unsynced_frames() > 0 ? wal_.Sync() : Status::OK();
+  if (written.ok()) {
+    written = WriteSnapshot(store_, wal_.last_seq(), options_.snapshot_dir);
+  }
   if (!written.ok()) {
     // Snapshot loss is graceful: recovery just replays a longer WAL tail.
     // Keep streaming and retry at the next boundary.

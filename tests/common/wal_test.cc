@@ -248,8 +248,10 @@ TEST_F(WalTest, SyncCadenceIsHonored) {
     ASSERT_TRUE(writer->Append(seq, "payload").ok());
   }
   EXPECT_EQ(writer->syncs(), 2u);  // after frames 3 and 6
+  EXPECT_EQ(writer->unsynced_frames(), 1u);  // frame 7
   ASSERT_TRUE(writer->Close().ok());
   EXPECT_EQ(writer->syncs(), 3u);  // Close always syncs
+  EXPECT_EQ(writer->unsynced_frames(), 0u);
 }
 
 TEST_F(WalTest, WalFailpointsAreRegisteredForTheHarness) {

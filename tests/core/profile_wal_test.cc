@@ -10,6 +10,7 @@
 #include "core/entity_profile.h"
 #include "core/profile_store.h"
 #include "core/temporal_record.h"
+#include "datagen/recruitment_generator.h"
 
 namespace maroon {
 namespace {
@@ -136,6 +137,27 @@ TEST(HashTest, StoreHashIsPinned) {
   ASSERT_TRUE(ApplyRecordToStore(MakeRecord(2, "bob", 2001, 2), &store).ok());
   ASSERT_TRUE(ApplyRecordToStore(MakeRecord(3, "ann", 1999), &store).ok());
   EXPECT_EQ(HashProfileStore(store), 0xf09191beea455d7cull);
+}
+
+TEST(HashTest, GeneratedCorpusReplayHashIsPinned) {
+  // Oracle for the streaming apply path as a whole: a generated Recruitment
+  // corpus, applied in record order the way `maroon_cli replay` streams it,
+  // must rebuild this exact store. It moves only when the apply rule does.
+  RecruitmentOptions options;
+  options.seed = 7;
+  options.num_entities = 120;
+  options.num_names = 40;
+  const Dataset dataset = GenerateRecruitmentDataset(options);
+  ProfileStore store;
+  size_t applied = 0;
+  for (const TemporalRecord& record : dataset.records()) {
+    if (record.values().empty()) continue;  // StreamLinker rejects these
+    ASSERT_TRUE(ApplyRecordToStore(record, &store).ok());
+    ++applied;
+  }
+  EXPECT_EQ(applied, 2101u);
+  EXPECT_EQ(store.size(), 40u);  // exact-name merge: one profile per name
+  EXPECT_EQ(HashProfileStore(store), 0x3863b4f40cf58ed6ull);
 }
 
 class ProfileWalTest : public ::testing::Test {

@@ -18,7 +18,8 @@ obs::JsonValue Parse(const std::string& text) {
 }
 
 /// A minimal two-row baseline in the run_bench.sh document shape.
-std::string Doc(double phase1_s, double total_wall_s, double overhead_pct) {
+std::string Doc(double phase1_s, double total_wall_s, double overhead_pct,
+                double records_per_s = 1000.0) {
   std::string out = R"({
     "schema": "maroon_bench_runtime_v1",
     "rows": [
@@ -29,7 +30,9 @@ std::string Doc(double phase1_s, double total_wall_s, double overhead_pct) {
   out += std::to_string(total_wall_s);
   out += R"(, "result_hash": 12345},
       {"bench": "fig7_runtime", "method": "AFDS", "threads": 1,
-       "entities": 100, "total_wall_s": 0.050}
+       "entities": 100, "total_wall_s": 0.050, "records_per_s": )";
+  out += std::to_string(records_per_s);
+  out += R"(}
     ],
     "overhead": {"overhead_pct": )";
   out += std::to_string(overhead_pct);
@@ -99,19 +102,25 @@ TEST(BenchDiffTest, NoiseFloorSuppressesTinyTimings) {
 }
 
 TEST(BenchDiffTest, NonTimingMetricsAreNeverGated) {
-  // overhead_pct triples; it is reported but not a regression.
-  const obs::JsonValue baseline = Parse(Doc(0.100, 0.200, 1.0));
-  const obs::JsonValue current = Parse(Doc(0.100, 0.200, 3.0));
+  // overhead_pct triples and a throughput grows 25x (a `_per_s` rate, though
+  // it ends in `_s`); both are reported but neither is a regression.
+  const obs::JsonValue baseline = Parse(Doc(0.100, 0.200, 1.0, 1000.0));
+  const obs::JsonValue current = Parse(Doc(0.100, 0.200, 3.0, 25000.0));
   const BenchDiffReport report = DiffBenchDocuments(baseline, current);
   EXPECT_TRUE(report.ok()) << report.ToText();
-  bool found = false;
+  int found = 0;
   for (const BenchDiffEntry& e : report.entries) {
-    if (e.metric != "overhead_pct") continue;
-    found = true;
-    EXPECT_FALSE(e.gated);
-    EXPECT_NEAR(e.delta_pct, 200.0, 1e-9);
+    if (e.metric == "overhead_pct") {
+      ++found;
+      EXPECT_FALSE(e.gated);
+      EXPECT_NEAR(e.delta_pct, 200.0, 1e-9);
+    } else if (e.metric == "records_per_s") {
+      ++found;
+      EXPECT_FALSE(e.gated);
+      EXPECT_NEAR(e.delta_pct, 2400.0, 1e-9);
+    }
   }
-  EXPECT_TRUE(found) << report.ToText();
+  EXPECT_EQ(found, 2) << report.ToText();
 }
 
 TEST(BenchDiffTest, ResultHashChangesAreIgnored) {

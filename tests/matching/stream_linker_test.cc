@@ -162,6 +162,27 @@ TEST_F(StreamLinkerTest, SnapshotFailureIsGraceful) {
   ASSERT_TRUE(linker->Close().ok());
 }
 
+TEST_F(StreamLinkerTest, SnapshotNeverCoversUnsyncedWalFrames) {
+  // With a lazy fsync cadence the WAL holds frames only in the page cache;
+  // a snapshot published over them could outlive them after a power loss.
+  options_.wal.sync_every = 0;
+  options_.snapshot_every = 2;
+  auto linker = StreamLinker::Open(options_);
+  ASSERT_TRUE(linker.ok());
+  ASSERT_TRUE(failpoint::Arm("wal.append.sync", "fail").ok());
+  ASSERT_TRUE(linker->Submit(MakeRecord(1, "ann", 1990)).ok());
+  ASSERT_TRUE(linker->Submit(MakeRecord(2, "bob", 1991)).ok());
+  ASSERT_TRUE(linker->Drain().ok());
+  auto snapshots = ListSnapshots(options_.snapshot_dir);
+  ASSERT_TRUE(snapshots.ok());
+  EXPECT_TRUE(snapshots->empty()) << "snapshot covers seq "
+                                  << snapshots->back().last_seq
+                                  << " while the WAL was never fsynced";
+  EXPECT_GE(linker->stats().snapshot_failures, 1u);
+  failpoint::ClearAll();
+  ASSERT_TRUE(linker->Close().ok());
+}
+
 TEST_F(StreamLinkerTest, RecoveryRebuildsTheStoreFromSnapshotPlusTail) {
   uint64_t live_hash = 0;
   {
