@@ -6,11 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "clustering/adjusted_binding_clusterer.h"
 #include "freshness/freshness_model.h"
 #include "matching/maroon.h"
 #include "similarity/record_similarity.h"
-#include "similarity/soft_tfidf.h"
 #include "similarity/string_metrics.h"
 #include "similarity/tfidf.h"
 #include "transition/transition_model.h"
@@ -26,15 +24,6 @@ void BM_JaroWinkler(benchmark::State& state) {
 }
 BENCHMARK(BM_JaroWinkler);
 
-void BM_Levenshtein(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        LevenshteinDistance("University of Springfield", "University of "
-                                                         "Lakewood"));
-  }
-}
-BENCHMARK(BM_Levenshtein);
-
 void BM_TfIdfCosine(benchmark::State& state) {
   TfIdfModel model;
   model.AddDocument({"quest", "software", "manager"});
@@ -47,47 +36,6 @@ void BM_TfIdfCosine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TfIdfCosine);
-
-void BM_SoftTfIdf(benchmark::State& state) {
-  TfIdfModel model;
-  model.AddDocument({"quest", "software", "manager"});
-  model.AddDocument({"university", "of", "springfield"});
-  model.AddDocument({"vertex", "labs", "engineer"});
-  SoftTfIdf soft(&model);
-  const std::vector<std::string> a = {"quest", "sofware", "director"};
-  const std::vector<std::string> b = {"quest", "software", "manager"};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(soft.Similarity(a, b));
-  }
-}
-BENCHMARK(BM_SoftTfIdf);
-
-void BM_TrigramSimilarity(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        TrigramSimilarity("Quest Software Inc", "Quest Softwares"));
-  }
-}
-BENCHMARK(BM_TrigramSimilarity);
-
-void BM_AdjustedBindingClustering(benchmark::State& state) {
-  const Dataset dataset =
-      GenerateRecruitmentDataset(BenchRecruitmentOptions());
-  // One entity's candidate pool.
-  const EntityId& entity = dataset.targets().begin()->first;
-  std::vector<const TemporalRecord*> candidates;
-  for (RecordId id : dataset.CandidatesFor(entity)) {
-    candidates.push_back(&dataset.record(id));
-  }
-  SimilarityCalculator similarity;
-  AdjustedBindingClusterer clusterer(&similarity);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(clusterer.ClusterRecords(candidates).size());
-  }
-  state.counters["candidates"] =
-      benchmark::Counter(static_cast<double>(candidates.size()));
-}
-BENCHMARK(BM_AdjustedBindingClustering)->Unit(benchmark::kMicrosecond);
 
 void BM_SequenceValuesAt(benchmark::State& state) {
   TemporalSequence seq;

@@ -28,12 +28,6 @@ inline bool ApproxZero(double x, double eps = kDefaultEpsilon) {
   return std::fabs(x) <= eps;
 }
 
-/// True when `p` is a valid probability, tolerating `eps` of rounding
-/// overshoot on either side.
-inline bool IsProbability(double p, double eps = kDefaultEpsilon) {
-  return p >= -eps && p <= 1.0 + eps;
-}
-
 }  // namespace maroon
 
 #endif  // MAROON_COMMON_FLOAT_COMPARE_H_

@@ -260,20 +260,6 @@ Status ParseTimePoint(const std::string& cell, TimePoint* out) {
   return Status::OK();
 }
 
-std::string ProfileToCsv(const EntityProfile& profile,
-                         const std::string& kind) {
-  CsvWriter writer;
-  for (const auto& [attribute, seq] : profile.sequences()) {
-    for (const Triple& tr : seq.triples()) {
-      writer.AppendRow({profile.id(), profile.name(), kind, attribute,
-                        std::to_string(tr.interval.begin),
-                        std::to_string(tr.interval.end),
-                        JoinValues(tr.values)});
-    }
-  }
-  return writer.text();
-}
-
 Status WriteDatasetCsv(const Dataset& dataset, const std::string& directory) {
   // sources.csv
   {

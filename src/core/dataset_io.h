@@ -61,11 +61,6 @@ Result<Dataset> ReadDatasetCsv(const std::string& directory,
 /// precise message. Exposed for tests and tooling.
 Status ParseTimePoint(const std::string& cell, TimePoint* out);
 
-/// Serializes one profile's triples into rows (kind as given); exposed for
-/// tests and tooling.
-[[nodiscard]] std::string ProfileToCsv(const EntityProfile& profile,
-                                       const std::string& kind);
-
 }  // namespace maroon
 
 #endif  // MAROON_CORE_DATASET_IO_H_

@@ -22,19 +22,6 @@ std::vector<ProfileFact> EnumerateProfileFacts(const EntityProfile& profile) {
   return facts;
 }
 
-EntityProfile MergeProfiles(const EntityProfile& base,
-                            const EntityProfile& addition) {
-  EntityProfile merged = base;
-  for (const auto& [attribute, seq] : addition.sequences()) {
-    TemporalSequence& target = merged.sequence(attribute);
-    for (const Triple& tr : seq.triples()) {
-      (void)target.Insert(tr);
-    }
-  }
-  merged.Normalize();
-  return merged;
-}
-
 ProfileDiff DiffProfiles(const EntityProfile& before,
                          const EntityProfile& after) {
   const std::vector<ProfileFact> before_facts = EnumerateProfileFacts(before);

@@ -10,7 +10,7 @@
 
 namespace maroon {
 
-/// Utilities over entity profiles: merging, fact-level diffing, and a
+/// Utilities over entity profiles: fact-level diffing and a
 /// human-readable timeline rendering. Used by the CLI, the examples, and
 /// evaluation tooling.
 
@@ -33,12 +33,6 @@ struct ProfileFact {
 
 /// All facts of `profile`, sorted.
 std::vector<ProfileFact> EnumerateProfileFacts(const EntityProfile& profile);
-
-/// The union of two profiles: at every instant each attribute holds the
-/// union of the two value sets. Identity/name come from `base`. The result
-/// is normalized.
-EntityProfile MergeProfiles(const EntityProfile& base,
-                            const EntityProfile& addition);
 
 /// Fact-level difference between two profiles.
 struct ProfileDiff {

@@ -130,13 +130,6 @@ std::vector<Interval> TemporalSequence::IntervalsOf(const Value& v) const {
   return out;
 }
 
-std::vector<Interval> TemporalSequence::AllIntervals() const {
-  std::vector<Interval> out;
-  out.reserve(triples_.size());
-  for (const Triple& tr : triples_) out.push_back(tr.interval);
-  return out;
-}
-
 int64_t TemporalSequence::Lifespan() const {
   if (triples_.empty()) return 0;
   TimePoint first = triples_.front().interval.begin;

@@ -71,9 +71,6 @@ class TemporalSequence {
   /// Intervals(Seq, v): all intervals during which `v` occurs.
   std::vector<Interval> IntervalsOf(const Value& v) const;
 
-  /// Intervals(Seq): the interval of every triple, in order.
-  std::vector<Interval> AllIntervals() const;
-
   /// Lifespan(Seq) = e_last - b_first + 1; 0 for the empty sequence.
   int64_t Lifespan() const;
 

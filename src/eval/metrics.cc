@@ -75,14 +75,4 @@ ProfileQuality CompareProfiles(const EntityProfile& result,
   return quality;
 }
 
-std::map<Attribute, ProfileQuality> CompareProfilesPerAttribute(
-    const EntityProfile& result, const EntityProfile& ground_truth,
-    const std::vector<Attribute>& attributes) {
-  std::map<Attribute, ProfileQuality> out;
-  for (const Attribute& attribute : attributes) {
-    out[attribute] = CompareProfiles(result, ground_truth, {attribute});
-  }
-  return out;
-}
-
 }  // namespace maroon

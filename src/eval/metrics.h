@@ -2,7 +2,6 @@
 #define MAROON_EVAL_METRICS_H_
 
 #include <cstddef>
-#include <map>
 #include <vector>
 
 #include "core/entity_profile.h"
@@ -52,12 +51,6 @@ struct ProfileQuality {
 ProfileQuality CompareProfiles(const EntityProfile& result,
                                const EntityProfile& ground_truth,
                                const std::vector<Attribute>& attributes);
-
-/// Per-attribute breakdown of CompareProfiles — which attributes drive the
-/// aggregate accuracy/completeness.
-std::map<Attribute, ProfileQuality> CompareProfilesPerAttribute(
-    const EntityProfile& result, const EntityProfile& ground_truth,
-    const std::vector<Attribute>& attributes);
 
 /// Aggregates per-entity numbers into macro averages.
 class MeanAccumulator {

@@ -31,7 +31,7 @@ struct ReliabilityModelOptions {
 /// never occurs anywhere in the referred entity's true history (a stale
 /// value is *not* an error — staleness is the freshness model's job).
 ///
-/// `ClusterGeneratorOptions::use_source_reliability` weighs each source's
+/// Attached through `Maroon::SetReliabilityModel`, it weighs each source's
 /// Eq. 11 confidence contribution by its reliability, lowering the impact of
 /// noisy sources on matching decisions.
 class ReliabilityModel {

@@ -31,7 +31,7 @@ double ClusterGenerator::DelayProbability(int64_t eta, SourceId source,
 
 double ClusterGenerator::SourceReliability(SourceId source,
                                            const Attribute& attribute) const {
-  if (!options_.use_source_reliability || reliability_ == nullptr) return 1.0;
+  if (reliability_ == nullptr) return 1.0;
   return reliability_->Reliability(source, attribute);
 }
 

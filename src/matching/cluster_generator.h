@@ -40,10 +40,6 @@ struct ClusterGeneratorOptions {
   /// delay probability as 1 — Phase I degenerates to plain PARTITION
   /// clustering with source-count confidences.
   bool use_source_freshness = true;
-  /// When true and a reliability model is attached, each source's Eq. 11
-  /// confidence contribution is weighted by its publication reliability
-  /// (the §6 future-work extension after Li et al. KDD 2014).
-  bool use_source_reliability = true;
 };
 
 /// Phase I of MAROON's matching algorithm (paper Algorithm 2): reorganizes
@@ -60,8 +56,9 @@ class ClusterGenerator {
                    ClusterGeneratorOptions options = {});
 
   /// Attaches an optional source-reliability model (must outlive the
-  /// generator); nullptr detaches. Only consulted when
-  /// options().use_source_reliability is true.
+  /// generator); nullptr detaches. When attached, each source's Eq. 11
+  /// confidence contribution is weighted by its publication reliability
+  /// (the §6 future-work extension after Li et al. KDD 2014).
   void SetReliabilityModel(const ReliabilityModel* reliability) {
     reliability_ = reliability;
   }

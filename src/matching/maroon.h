@@ -58,8 +58,8 @@ class Maroon {
          std::vector<Attribute> schema_attributes, MaroonOptions options = {});
 
   /// Attaches an optional source-reliability model (must outlive this
-  /// object); nullptr detaches. Consulted by Phase I when
-  /// options().cluster.use_source_reliability is true.
+  /// object); nullptr detaches. Phase I weighs Eq. 11 confidences by it
+  /// while it is attached.
   void SetReliabilityModel(const ReliabilityModel* reliability) {
     reliability_ = reliability;
   }

@@ -117,10 +117,6 @@ MatchResult ProfileMatcher::MatchAndAugment(
 
   size_t remaining = n;
   while (remaining > 0) {
-    if (options_.max_iterations != 0 &&
-        result.iterations >= options_.max_iterations) {
-      break;
-    }
     ++result.iterations;
 
     // Lines 3-5: the best-scoring active cluster that passes the declarative

@@ -19,9 +19,6 @@ struct ProfileMatcherOptions {
   /// Attributes for which an entity cannot hold two different values at the
   /// same instant (e.g., Title, Location); used for conflict pruning.
   std::vector<Attribute> single_valued_attributes;
-  /// Safety bound on iterations (0 = unbounded; the loop is already bounded
-  /// by the number of clusters).
-  size_t max_iterations = 0;
   /// Optional declarative temporal constraints (must outlive the matcher).
   /// A cluster whose insertion would violate any rule is rejected and
   /// removed from consideration, regardless of its match score.

@@ -1,8 +1,7 @@
 #include "similarity/string_metrics.h"
 
 #include <algorithm>
-#include <set>
-#include <string>
+#include <vector>
 
 namespace maroon {
 
@@ -53,82 +52,6 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b,
   const size_t limit = std::min({a.size(), b.size(), max_prefix});
   while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
   return jaro + static_cast<double>(prefix) * prefix_weight * (1.0 - jaro);
-}
-
-size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (a.size() < b.size()) std::swap(a, b);  // keep the DP row short
-  std::vector<size_t> row(b.size() + 1);
-  for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (size_t i = 1; i <= a.size(); ++i) {
-    size_t diagonal = row[0];
-    row[0] = i;
-    for (size_t j = 1; j <= b.size(); ++j) {
-      size_t above = row[j];
-      size_t substitute = diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      row[j] = std::min({above + 1, row[j - 1] + 1, substitute});
-      diagonal = above;
-    }
-  }
-  return row[b.size()];
-}
-
-double NormalizedLevenshteinSimilarity(std::string_view a,
-                                       std::string_view b) {
-  const size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) /
-                   static_cast<double>(longest);
-}
-
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  std::set<std::string> set_a(a.begin(), a.end());
-  std::set<std::string> set_b(b.begin(), b.end());
-  size_t intersection = 0;
-  for (const std::string& t : set_a) intersection += set_b.count(t);
-  const size_t unions = set_a.size() + set_b.size() - intersection;
-  return unions == 0 ? 1.0
-                     : static_cast<double>(intersection) /
-                           static_cast<double>(unions);
-}
-
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  double total = 0.0;
-  for (const std::string& token_a : a) {
-    double best = 0.0;
-    for (const std::string& token_b : b) {
-      best = std::max(best, JaroWinklerSimilarity(token_a, token_b));
-    }
-    total += best;
-  }
-  return total / static_cast<double>(a.size());
-}
-
-double SymmetricMongeElkan(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b) {
-  return std::max(MongeElkanSimilarity(a, b), MongeElkanSimilarity(b, a));
-}
-
-std::vector<std::string> CharacterNGrams(std::string_view text, size_t n) {
-  std::vector<std::string> grams;
-  if (text.empty() || n == 0) return grams;
-  if (text.size() <= n) {
-    grams.emplace_back(text);
-    return grams;
-  }
-  grams.reserve(text.size() - n + 1);
-  for (size_t i = 0; i + n <= text.size(); ++i) {
-    grams.emplace_back(text.substr(i, n));
-  }
-  return grams;
-}
-
-double TrigramSimilarity(std::string_view a, std::string_view b) {
-  return JaccardSimilarity(CharacterNGrams(a, 3), CharacterNGrams(b, 3));
 }
 
 }  // namespace maroon

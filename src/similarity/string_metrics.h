@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <string_view>
-#include <vector>
 
 namespace maroon {
 
@@ -19,36 +18,6 @@ double JaroSimilarity(std::string_view a, std::string_view b);
 double JaroWinklerSimilarity(std::string_view a, std::string_view b,
                              double prefix_weight = 0.1,
                              size_t max_prefix = 4);
-
-/// Levenshtein edit distance (unit costs).
-size_t LevenshteinDistance(std::string_view a, std::string_view b);
-
-/// 1 - distance / max(|a|, |b|); 1 for two empty strings.
-double NormalizedLevenshteinSimilarity(std::string_view a, std::string_view b);
-
-/// Jaccard similarity |A ∩ B| / |A ∪ B| over token multiset-as-set semantics;
-/// duplicates within one side are ignored. Two empty token lists yield 1.
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b);
-
-/// Monge-Elkan similarity: the mean over tokens of `a` of the best
-/// Jaro-Winkler match among tokens of `b`. Asymmetric by definition; use
-/// SymmetricMongeElkan for an order-free score. Empty-vs-empty is 1,
-/// empty-vs-nonempty 0.
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b);
-
-/// max(MongeElkan(a, b), MongeElkan(b, a)).
-double SymmetricMongeElkan(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b);
-
-/// Character n-grams of `text` (contiguous, overlapping). Strings shorter
-/// than `n` yield the whole string as the single gram.
-std::vector<std::string> CharacterNGrams(std::string_view text, size_t n);
-
-/// Jaccard similarity over character trigram sets — robust to small typos
-/// and token reordering; commonly used for organization-name matching.
-double TrigramSimilarity(std::string_view a, std::string_view b);
 
 }  // namespace maroon
 

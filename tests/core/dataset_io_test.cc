@@ -123,16 +123,5 @@ TEST_F(DatasetIoTest, UnknownSourceFails) {
   EXPECT_FALSE(loaded.ok());
 }
 
-TEST(ProfileToCsvTest, OneRowPerTriple) {
-  const EntityProfile profile = testing::DavidBrownProfile();
-  const std::string csv = ProfileToCsv(profile, "truth");
-  // 4 Organization triples + 2 Title triples.
-  auto rows = ParseCsv(csv);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 6u);
-  EXPECT_EQ((*rows)[0][0], "david_1");
-  EXPECT_EQ((*rows)[0][2], "truth");
-}
-
 }  // namespace
 }  // namespace maroon

@@ -28,32 +28,6 @@ TEST(EnumerateProfileFactsTest, MultiValueFactsPerValue) {
   EXPECT_EQ(EnumerateProfileFacts(profile).size(), 2u);
 }
 
-TEST(MergeProfilesTest, UnionsValuesAndNormalizes) {
-  EntityProfile base("e", "E");
-  (void)base.sequence(kTitle).Append(
-      Triple(2000, 2004, MakeValueSet({"Engineer"})));
-  EntityProfile addition("e", "E");
-  (void)addition.sequence(kTitle).Append(
-      Triple(2003, 2006, MakeValueSet({"Manager"})));
-  (void)addition.sequence(kOrg).Append(
-      Triple(2000, 2001, MakeValueSet({"S3"})));
-
-  const EntityProfile merged = MergeProfiles(base, addition);
-  EXPECT_EQ(merged.sequence(kTitle).ValuesAt(2002), MakeValueSet({"Engineer"}));
-  EXPECT_EQ(merged.sequence(kTitle).ValuesAt(2003),
-            MakeValueSet({"Engineer", "Manager"}));
-  EXPECT_EQ(merged.sequence(kTitle).ValuesAt(2006), MakeValueSet({"Manager"}));
-  EXPECT_EQ(merged.sequence(kOrg).ValuesAt(2000), MakeValueSet({"S3"}));
-  EXPECT_TRUE(merged.sequence(kTitle).IsCanonical());
-  EXPECT_EQ(merged.id(), "e");
-}
-
-TEST(MergeProfilesTest, MergeWithEmptyIsIdentity) {
-  const EntityProfile base = testing::DavidBrownProfile();
-  const EntityProfile merged = MergeProfiles(base, EntityProfile("x", "X"));
-  EXPECT_EQ(EnumerateProfileFacts(merged), EnumerateProfileFacts(base));
-}
-
 TEST(DiffProfilesTest, DetectsAddedAndRemovedFacts) {
   EntityProfile before("e", "E");
   (void)before.sequence(kTitle).Append(

@@ -103,23 +103,6 @@ TEST(ProfileQualityTest, EmptyProfiles) {
   EXPECT_DOUBLE_EQ(q.completeness, 0.0);
 }
 
-TEST(PerAttributeQualityTest, BreaksDownByAttribute) {
-  const EntityProfile truth = MakeProfile(
-      {{"T", 2000, 2004, "Engineer"}, {"O", 2000, 2004, "Acme"}});
-  const EntityProfile result = MakeProfile(
-      {{"T", 2000, 2004, "Engineer"},   // perfect on T
-       {"O", 2000, 2001, "Acme"}});     // partial on O
-  const auto per = CompareProfilesPerAttribute(result, truth, {"T", "O"});
-  EXPECT_DOUBLE_EQ(per.at("T").completeness, 1.0);
-  EXPECT_DOUBLE_EQ(per.at("O").completeness, 0.4);
-  EXPECT_DOUBLE_EQ(per.at("T").accuracy, 1.0);
-  EXPECT_DOUBLE_EQ(per.at("O").accuracy, 1.0);
-  // The aggregate sits between the per-attribute values.
-  const auto aggregate = CompareProfiles(result, truth, {"T", "O"});
-  EXPECT_GT(aggregate.completeness, per.at("O").completeness);
-  EXPECT_LT(aggregate.completeness, per.at("T").completeness);
-}
-
 TEST(MeanAccumulatorTest, Averages) {
   MeanAccumulator acc;
   EXPECT_DOUBLE_EQ(acc.Mean(), 0.0);

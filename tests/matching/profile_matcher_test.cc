@@ -145,23 +145,6 @@ TEST_F(ProfileMatcherTest, NonConflictingClustersBothLink) {
             MakeValueSet({"President"}));
 }
 
-TEST_F(ProfileMatcherTest, IterationsAreBoundedByOption) {
-  const EntityProfile profile = testing::DavidBrownProfile();
-  ProfileMatcherOptions options = Options();
-  options.max_iterations = 1;
-  ProfileMatcher matcher(&model_, testing::PaperAttributes(), options);
-  std::vector<GeneratedCluster> clusters;
-  clusters.push_back(MakeCluster(Interval(2011, 2011),
-                                 {{kTitle, MakeValueSet({"Director"}), 2.0}},
-                                 {4}));
-  clusters.push_back(MakeCluster(Interval(2013, 2013),
-                                 {{kTitle, MakeValueSet({"President"}), 1.0}},
-                                 {7}));
-  const MatchResult result = matcher.MatchAndAugment(profile, clusters);
-  EXPECT_EQ(result.iterations, 1u);
-  EXPECT_EQ(result.linked_clusters.size(), 1u);
-}
-
 TEST_F(ProfileMatcherTest, EmptyClusterSetIsNoOp) {
   const EntityProfile profile = testing::DavidBrownProfile();
   ProfileMatcher matcher(&model_, testing::PaperAttributes(), Options());

@@ -26,15 +26,14 @@ namespace {
 constexpr double kRelativeErrorBound =
     1.0 / (2.0 * Histogram::kSubBuckets);
 
-/// Tests of obs::Histogram; the suite name is kept so the test IDs stay
-/// stable.
-class LatencyHistogramTest : public ::testing::Test {
+/// Tests of obs::Histogram with the metrics registry enabled.
+class HistogramSnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override { MetricsRegistry::SetEnabled(true); }
   void TearDown() override { MetricsRegistry::SetEnabled(true); }
 };
 
-TEST_F(LatencyHistogramTest, EmptySnapshotIsAllZero) {
+TEST_F(HistogramSnapshotTest, EmptySnapshotIsAllZero) {
   Histogram h;
   const HistogramSnapshot s = h.Snapshot();
   EXPECT_EQ(s.count, 0);
@@ -47,7 +46,7 @@ TEST_F(LatencyHistogramTest, EmptySnapshotIsAllZero) {
   EXPECT_EQ(s.CountAtOrBelow(1.0), 0);
 }
 
-TEST_F(LatencyHistogramTest, SingleSampleReportsExactPercentiles) {
+TEST_F(HistogramSnapshotTest, SingleSampleReportsExactPercentiles) {
   Histogram h;
   h.Record(0.0042);
   const HistogramSnapshot s = h.Snapshot();
@@ -61,7 +60,7 @@ TEST_F(LatencyHistogramTest, SingleSampleReportsExactPercentiles) {
   EXPECT_DOUBLE_EQ(s.P999(), 0.0042);
 }
 
-TEST_F(LatencyHistogramTest, DropsNegativeAndNonFiniteSamples) {
+TEST_F(HistogramSnapshotTest, DropsNegativeAndNonFiniteSamples) {
   Histogram h;
   h.Record(-1.0);
   h.Record(std::nan(""));
@@ -71,7 +70,7 @@ TEST_F(LatencyHistogramTest, DropsNegativeAndNonFiniteSamples) {
   EXPECT_EQ(h.Snapshot().count, 1);
 }
 
-TEST_F(LatencyHistogramTest, AllOverflowSamplesReportObservedMax) {
+TEST_F(HistogramSnapshotTest, AllOverflowSamplesReportObservedMax) {
   Histogram h;
   h.Record(Histogram::kMaxValue * 2);
   h.Record(Histogram::kMaxValue * 4);
@@ -88,7 +87,7 @@ TEST_F(LatencyHistogramTest, AllOverflowSamplesReportObservedMax) {
   EXPECT_EQ(s.count, 2);
 }
 
-TEST_F(LatencyHistogramTest, BucketIndexIsMonotoneAndBoundsAreConsistent) {
+TEST_F(HistogramSnapshotTest, BucketIndexIsMonotoneAndBoundsAreConsistent) {
   int last = -1;
   for (double v = 1e-9; v < 20000.0; v *= 1.07) {
     const int index = Histogram::BucketIndex(v);
@@ -105,7 +104,7 @@ TEST_F(LatencyHistogramTest, BucketIndexIsMonotoneAndBoundsAreConsistent) {
             Histogram::kNumBuckets);
 }
 
-TEST_F(LatencyHistogramTest, UniformSamplesStayWithinErrorBound) {
+TEST_F(HistogramSnapshotTest, UniformSamplesStayWithinErrorBound) {
   Histogram h;
   std::vector<double> samples;
   Random rng(7);
@@ -125,7 +124,7 @@ TEST_F(LatencyHistogramTest, UniformSamplesStayWithinErrorBound) {
   }
 }
 
-TEST_F(LatencyHistogramTest, ExponentialSamplesStayWithinErrorBound) {
+TEST_F(HistogramSnapshotTest, ExponentialSamplesStayWithinErrorBound) {
   Histogram h;
   std::vector<double> samples;
   Random rng(13);
@@ -146,7 +145,7 @@ TEST_F(LatencyHistogramTest, ExponentialSamplesStayWithinErrorBound) {
   }
 }
 
-TEST_F(LatencyHistogramTest, SumMinMaxAreExact) {
+TEST_F(HistogramSnapshotTest, SumMinMaxAreExact) {
   Histogram h;
   h.Record(0.010);
   h.Record(0.001);
@@ -159,7 +158,7 @@ TEST_F(LatencyHistogramTest, SumMinMaxAreExact) {
   EXPECT_NEAR(s.Mean(), 0.037, 1e-12);
 }
 
-TEST_F(LatencyHistogramTest, CountAtOrBelowIsCumulative) {
+TEST_F(HistogramSnapshotTest, CountAtOrBelowIsCumulative) {
   Histogram h;
   h.Record(0.0001);
   h.Record(0.001);
@@ -171,7 +170,7 @@ TEST_F(LatencyHistogramTest, CountAtOrBelowIsCumulative) {
   EXPECT_EQ(s.CountAtOrBelow(1.0), 3);
 }
 
-TEST_F(LatencyHistogramTest, ResetClearsEverything) {
+TEST_F(HistogramSnapshotTest, ResetClearsEverything) {
   Histogram h;
   h.Record(0.5);
   h.Reset();
@@ -185,7 +184,7 @@ TEST_F(LatencyHistogramTest, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ(h.Snapshot().min, 0.25);
 }
 
-TEST_F(LatencyHistogramTest, DisabledRegistryDropsRecords) {
+TEST_F(HistogramSnapshotTest, DisabledRegistryDropsRecords) {
   Histogram h;
   MetricsRegistry::SetEnabled(false);
   h.Record(0.5);
@@ -193,7 +192,7 @@ TEST_F(LatencyHistogramTest, DisabledRegistryDropsRecords) {
   EXPECT_EQ(h.Snapshot().count, 0);
 }
 
-TEST_F(LatencyHistogramTest, ConcurrentRecordsLoseNothing) {
+TEST_F(HistogramSnapshotTest, ConcurrentRecordsLoseNothing) {
   Histogram h;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
@@ -228,7 +227,7 @@ TEST(PercentileOfSortedTest, InterpolatesAndHandlesEdges) {
   EXPECT_DOUBLE_EQ(PercentileOfSorted(v, 0.1), 1.4);
 }
 
-TEST_F(LatencyHistogramTest, RegistrySnapshotJsonCarriesPercentileDigest) {
+TEST_F(HistogramSnapshotTest, RegistrySnapshotJsonCarriesPercentileDigest) {
   MetricsRegistry::Global().ResetAll();
   MAROON_HISTOGRAM("maroon.test.latency_digest")->Record(0.002);
   MAROON_HISTOGRAM("maroon.test.latency_digest")->Record(0.004);

@@ -94,7 +94,7 @@ TEST_F(PrometheusTest, ScoreHistogramRendersOnSharedLadder) {
   EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
-TEST_F(PrometheusTest, LatencyHistogramDownsamplesToScrapeLadder) {
+TEST_F(PrometheusTest, HistogramDownsamplesToScrapeLadder) {
   Histogram h;
   h.Record(0.00005);  // 50us
   h.Record(0.003);    // 3ms

@@ -53,78 +53,5 @@ TEST(JaroWinklerTest, BoundedByOne) {
   EXPECT_DOUBLE_EQ(JaroWinklerSimilarity("same", "same"), 1.0);
 }
 
-TEST(LevenshteinTest, KnownDistances) {
-  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(LevenshteinDistance("flaw", "lawn"), 2u);
-  EXPECT_EQ(LevenshteinDistance("", "abc"), 3u);
-  EXPECT_EQ(LevenshteinDistance("abc", ""), 3u);
-  EXPECT_EQ(LevenshteinDistance("same", "same"), 0u);
-}
-
-TEST(LevenshteinTest, SymmetricAndTriangle) {
-  EXPECT_EQ(LevenshteinDistance("abcde", "xbcdz"),
-            LevenshteinDistance("xbcdz", "abcde"));
-  const size_t ab = LevenshteinDistance("manager", "director");
-  const size_t bc = LevenshteinDistance("director", "engineer");
-  const size_t ac = LevenshteinDistance("manager", "engineer");
-  EXPECT_LE(ac, ab + bc);
-}
-
-TEST(NormalizedLevenshteinTest, Range) {
-  EXPECT_DOUBLE_EQ(NormalizedLevenshteinSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(NormalizedLevenshteinSimilarity("abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(NormalizedLevenshteinSimilarity("abc", "xyz"), 0.0);
-  EXPECT_NEAR(NormalizedLevenshteinSimilarity("kitten", "sitting"),
-              1.0 - 3.0 / 7.0, 1e-9);
-}
-
-TEST(JaccardTest, Basics) {
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "b"}, {"b", "c"}), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a"}, {}), 0.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "a", "b"}, {"a", "b"}), 1.0);
-}
-
-TEST(MongeElkanTest, AveragesBestTokenMatches) {
-  EXPECT_DOUBLE_EQ(
-      MongeElkanSimilarity({"quest", "software"}, {"quest", "software"}), 1.0);
-  EXPECT_DOUBLE_EQ(MongeElkanSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(MongeElkanSimilarity({"quest"}, {}), 0.0);
-  // Typo'd tokens still match their counterpart well.
-  const double typo = MongeElkanSimilarity({"qeust", "software"},
-                                           {"quest", "software"});
-  EXPECT_GT(typo, 0.85);
-  EXPECT_LT(typo, 1.0);
-}
-
-TEST(MongeElkanTest, AsymmetryAndSymmetricWrapper) {
-  // {a} against {a, z}: every token of the left finds a perfect match; the
-  // reverse direction pays for z.
-  const double forward = MongeElkanSimilarity({"alpha"}, {"alpha", "zzz"});
-  const double backward = MongeElkanSimilarity({"alpha", "zzz"}, {"alpha"});
-  EXPECT_DOUBLE_EQ(forward, 1.0);
-  EXPECT_LT(backward, 1.0);
-  EXPECT_DOUBLE_EQ(SymmetricMongeElkan({"alpha"}, {"alpha", "zzz"}), 1.0);
-}
-
-TEST(CharacterNGramsTest, Basics) {
-  EXPECT_EQ(CharacterNGrams("abcd", 3),
-            (std::vector<std::string>{"abc", "bcd"}));
-  EXPECT_EQ(CharacterNGrams("ab", 3), (std::vector<std::string>{"ab"}));
-  EXPECT_TRUE(CharacterNGrams("", 3).empty());
-  EXPECT_TRUE(CharacterNGrams("abc", 0).empty());
-  EXPECT_EQ(CharacterNGrams("abc", 3), (std::vector<std::string>{"abc"}));
-}
-
-TEST(TrigramSimilarityTest, RobustToSmallEdits) {
-  EXPECT_DOUBLE_EQ(TrigramSimilarity("Quest Software", "Quest Software"),
-                   1.0);
-  const double close = TrigramSimilarity("Quest Software", "Quest Softwares");
-  EXPECT_GT(close, 0.7);
-  EXPECT_LT(TrigramSimilarity("Quest Software", "Vertex Labs"), 0.2);
-  EXPECT_DOUBLE_EQ(TrigramSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(TrigramSimilarity("abc", ""), 0.0);
-}
-
 }  // namespace
 }  // namespace maroon
