@@ -108,6 +108,33 @@ void BM_SingleEntityLink(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleEntityLink)->Unit(benchmark::kMicrosecond);
 
+// One DBLP name block with the TF-IDF model Experiment::Prepare fits, so
+// Phase I scores the set-valued coauthor lists by cosine (Recruitment above
+// has no multi-valued cell and never reaches that path).
+void BM_SingleEntityLinkDblp(benchmark::State& state) {
+  const Dataset dataset = GenerateDblpCorpus(BenchDblpOptions()).dataset;
+  Experiment experiment(&dataset);
+  experiment.Prepare();
+  MaroonOptions options;
+  options.matcher.single_valued_attributes = dataset.attributes();
+  Maroon maroon(&experiment.transition_model(), &experiment.freshness_model(),
+                &experiment.similarity(), dataset.attributes(), options);
+
+  const EntityId& entity = dataset.targets().begin()->first;
+  const auto target = dataset.target(entity);
+  std::vector<const TemporalRecord*> candidates;
+  for (RecordId id : dataset.CandidatesFor(entity)) {
+    candidates.push_back(&dataset.record(id));
+  }
+  for (auto _ : state) {
+    LinkResult r = maroon.Link((*target)->clean_profile, candidates);
+    benchmark::DoNotOptimize(r.match.matched_records.size());
+  }
+  state.counters["candidates"] =
+      benchmark::Counter(static_cast<double>(candidates.size()));
+}
+BENCHMARK(BM_SingleEntityLinkDblp)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace maroon::bench
 

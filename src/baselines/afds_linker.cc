@@ -55,9 +55,9 @@ double AfdsLinker::EvolutionScore(const Cluster& earlier,
 std::vector<Cluster> AfdsLinker::ClusterRecords(
     const std::vector<const TemporalRecord*>& records) const {
   // Phase A: static value-similarity clustering (time-agnostic).
-  PartitionClusterer partitioner(similarity_,
-                                 PartitionOptions{options_.static_threshold});
-  std::vector<Cluster> clusters = partitioner.ClusterRecords(records);
+  PartitionClusterer partitioner(PartitionOptions{options_.static_threshold});
+  ValueSetSimilarityMemo memo(*similarity_);
+  std::vector<Cluster> clusters = partitioner.ClusterRecords(records, memo);
 
   // Phase B: merge clusters whose states an entity could evolve between.
   // Clusters ordered by start time; each later cluster is tested against the

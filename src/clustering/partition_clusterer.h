@@ -27,18 +27,18 @@ struct PartitionOptions {
 /// that is exactly the baseline behaviour the paper builds on.
 class PartitionClusterer {
  public:
-  PartitionClusterer(const SimilarityCalculator* similarity,
-                     PartitionOptions options = {})
-      : similarity_(similarity), options_(options) {}
+  explicit PartitionClusterer(PartitionOptions options = {})
+      : options_(options) {}
 
-  /// Groups `records` into clusters. Pointers must stay valid for the call.
+  /// Groups `records` into clusters, scoring each (record, cluster state)
+  /// pair through `memo`. Pointers must stay valid for the call.
   std::vector<Cluster> ClusterRecords(
-      const std::vector<const TemporalRecord*>& records) const;
+      const std::vector<const TemporalRecord*>& records,
+      ValueSetSimilarityMemo& memo) const;
 
   const PartitionOptions& options() const { return options_; }
 
  private:
-  const SimilarityCalculator* similarity_;
   PartitionOptions options_;
 };
 

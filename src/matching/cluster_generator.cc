@@ -49,13 +49,17 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
   MAROON_COUNTER("maroon.phase1.stale_records")
       ->Add(static_cast<int64_t>(stale.size()));
 
+  // Every value-set comparison of this call goes through one memo, so each
+  // distinct pair is scored once.
+  ValueSetSimilarityMemo memo(*similarity_);
+
   // Line 2: traditional single-pass clustering of the fresh records.
   std::vector<Cluster> initial;
   {
     MAROON_TRACE_SPAN("phase1.partition");
     PartitionClusterer partitioner(
-        similarity_, PartitionOptions{options_.partition_threshold});
-    initial = partitioner.ClusterRecords(fresh);
+        PartitionOptions{options_.partition_threshold});
+    initial = partitioner.ClusterRecords(fresh, memo);
   }
 
   // Lines 3-7: signatures with the fresh span and majority-vote values.
@@ -101,7 +105,7 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
           }
           const ValueSet& cluster_values = gc.signature.ValuesOf(attribute);
           if (cluster_values.empty()) continue;
-          if (similarity_->ValueSetSimilarity(cluster_values, values) <
+          if (memo.Similarity(cluster_values, values) <
               options_.value_match_threshold) {
             continue;  // line 14: c.A !~ r.A
           }
@@ -149,6 +153,8 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
     }
   }
   ComputeConfidences(records, clusters);
+  MAROON_COUNTER("maroon.phase1.similarity_memo_hits")->Add(memo.hits());
+  MAROON_COUNTER("maroon.phase1.similarity_memo_misses")->Add(memo.misses());
   MAROON_COUNTER("maroon.phase1.clusters_formed")
       ->Add(static_cast<int64_t>(clusters.size()));
   return clusters;

@@ -1,9 +1,18 @@
 #include "similarity/string_metrics.h"
 
 #include <algorithm>
-#include <vector>
+#include <array>
+#include <memory>
 
 namespace maroon {
+
+namespace {
+
+// Match flags for both strings of a JaroSimilarity call live on the stack
+// while the two lengths sum to at most this; longer pairs use the heap.
+constexpr size_t kStackMatchFlags = 128;
+
+}  // namespace
 
 double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
@@ -15,8 +24,14 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   const size_t window =
       std::max<size_t>(1, std::max(len_a, len_b) / 2) - 1;
 
-  std::vector<bool> matched_a(len_a, false);
-  std::vector<bool> matched_b(len_b, false);
+  std::array<bool, kStackMatchFlags> stack_flags{};
+  std::unique_ptr<bool[]> heap_flags;
+  bool* matched_a = stack_flags.data();
+  if (len_a + len_b > kStackMatchFlags) {
+    heap_flags = std::make_unique<bool[]>(len_a + len_b);  // all false
+    matched_a = heap_flags.get();
+  }
+  bool* matched_b = matched_a + len_a;
 
   size_t matches = 0;
   for (size_t i = 0; i < len_a; ++i) {

@@ -8,6 +8,7 @@
 #include "core/dataset.h"
 #include "core/dataset_io.h"
 #include "core/validation.h"
+#include "datagen/dblp_generator.h"
 #include "datagen/fault_injector.h"
 #include "datagen/recruitment_generator.h"
 #include "eval/experiment.h"
@@ -69,6 +70,56 @@ class BatchParallelDeterminismTest : public ::testing::Test {
     return std::move(*loaded);
   }
 
+  /// Links every target of `dataset` at 1 and at 8 threads (TF-IDF fitted
+  /// by Experiment::Prepare) and expects identical results.
+  void ExpectOneAndEightThreadsLinkIdentically(const Dataset& dataset) {
+    Experiment experiment(&dataset, ExperimentOptions{});
+    experiment.Prepare();
+    ASSERT_NE(experiment.similarity().tfidf_model(), nullptr);
+    MaroonOptions maroon_options;
+    maroon_options.matcher.single_valued_attributes = dataset.attributes();
+    const Maroon maroon(&experiment.transition_model(),
+                        &experiment.freshness_model(),
+                        &experiment.similarity(), dataset.attributes(),
+                        maroon_options);
+
+    std::vector<EntityId> targets;
+    for (const auto& [id, target] : dataset.targets()) targets.push_back(id);
+    ASSERT_GT(targets.size(), 10u);
+
+    BatchLinkOptions serial_options;
+    serial_options.threads = 1;
+    const BatchLinkResult serial =
+        BatchLinker(&maroon, serial_options).LinkAll(dataset, targets);
+
+    BatchLinkOptions parallel_options;
+    parallel_options.threads = 8;
+    const BatchLinkResult parallel =
+        BatchLinker(&maroon, parallel_options).LinkAll(dataset, targets);
+
+    // The record -> entity assignment is the batch's externally visible
+    // verdict; it must not depend on thread interleaving.
+    EXPECT_EQ(serial.assignment, parallel.assignment);
+    EXPECT_EQ(serial.contested_records, parallel.contested_records);
+    EXPECT_EQ(serial.skipped_entities, parallel.skipped_entities);
+    EXPECT_EQ(serial.skipped_candidates, parallel.skipped_candidates);
+
+    // Per-entity detail: same entities linked, same records matched, same
+    // cluster structure out of Phase I.
+    ASSERT_EQ(serial.per_entity.size(), parallel.per_entity.size());
+    for (const auto& [id, serial_link] : serial.per_entity) {
+      const auto it = parallel.per_entity.find(id);
+      ASSERT_NE(it, parallel.per_entity.end()) << "entity " << id;
+      EXPECT_EQ(serial_link.match.matched_records,
+                it->second.match.matched_records)
+          << "entity " << id;
+      EXPECT_EQ(serial_link.num_clusters, it->second.num_clusters)
+          << "entity " << id;
+      EXPECT_EQ(serial_link.skipped_candidates, it->second.skipped_candidates)
+          << "entity " << id;
+    }
+  }
+
   std::string dir_;
 };
 
@@ -77,50 +128,18 @@ TEST_F(BatchParallelDeterminismTest, OneAndEightThreadsLinkIdentically) {
   const Dataset dataset = CorruptedCorpus(&quarantined);
   EXPECT_GT(quarantined, 0u) << "fault injection never fired";
 
-  Experiment experiment(&dataset, ExperimentOptions{});
-  experiment.Prepare();
-  MaroonOptions maroon_options;
-  maroon_options.matcher.single_valued_attributes = dataset.attributes();
-  const Maroon maroon(&experiment.transition_model(),
-                      &experiment.freshness_model(),
-                      &experiment.similarity(), dataset.attributes(),
-                      maroon_options);
+  ExpectOneAndEightThreadsLinkIdentically(dataset);
+}
 
-  std::vector<EntityId> targets;
-  for (const auto& [id, target] : dataset.targets()) targets.push_back(id);
-  ASSERT_GT(targets.size(), 10u);
-
-  BatchLinkOptions serial_options;
-  serial_options.threads = 1;
-  const BatchLinkResult serial =
-      BatchLinker(&maroon, serial_options).LinkAll(dataset, targets);
-
-  BatchLinkOptions parallel_options;
-  parallel_options.threads = 8;
-  const BatchLinkResult parallel =
-      BatchLinker(&maroon, parallel_options).LinkAll(dataset, targets);
-
-  // The record -> entity assignment is the batch's externally visible
-  // verdict; it must not depend on thread interleaving.
-  EXPECT_EQ(serial.assignment, parallel.assignment);
-  EXPECT_EQ(serial.contested_records, parallel.contested_records);
-  EXPECT_EQ(serial.skipped_entities, parallel.skipped_entities);
-  EXPECT_EQ(serial.skipped_candidates, parallel.skipped_candidates);
-
-  // Per-entity detail: same entities linked, same records matched, same
-  // cluster structure out of Phase I.
-  ASSERT_EQ(serial.per_entity.size(), parallel.per_entity.size());
-  for (const auto& [id, serial_link] : serial.per_entity) {
-    const auto it = parallel.per_entity.find(id);
-    ASSERT_NE(it, parallel.per_entity.end()) << "entity " << id;
-    EXPECT_EQ(serial_link.match.matched_records,
-              it->second.match.matched_records)
-        << "entity " << id;
-    EXPECT_EQ(serial_link.num_clusters, it->second.num_clusters)
-        << "entity " << id;
-    EXPECT_EQ(serial_link.skipped_candidates, it->second.skipped_candidates)
-        << "entity " << id;
-  }
+TEST_F(BatchParallelDeterminismTest, OneAndEightThreadsLinkDblpWithTfIdf) {
+  // DBLP's coauthor lists are set-valued, so Phase I scores them by TF-IDF
+  // cosine through each Generate call's similarity memo.
+  DblpOptions options;
+  options.seed = 11;
+  options.num_entities = 60;
+  options.num_names = 10;
+  const Dataset dataset = GenerateDblpCorpus(options).dataset;
+  ExpectOneAndEightThreadsLinkIdentically(dataset);
 }
 
 TEST_F(BatchParallelDeterminismTest, QuarantineLoadIsRepeatable) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "clustering/partition_clusterer.h"
+#include "datagen/dblp_generator.h"
+#include "eval/experiment.h"
+#include "similarity/string_metrics.h"
+
 namespace maroon {
 namespace {
 
@@ -87,25 +92,144 @@ TEST(SimilarityCalculatorTest, RecordSimilarityAveragesSharedAttributes) {
   EXPECT_DOUBLE_EQ(calc.RecordSimilarity(a, d), 0.0);
 }
 
-TEST(SimilarityCalculatorTest, RecordToStateSimilarity) {
+TEST(ValueSetSimilarityMemoTest, MeanSimilarityOverSharedAttributes) {
   SimilarityCalculator calc;
+  ValueSetSimilarityMemo memo(calc);
   const TemporalRecord r = MakeRecord(
       0, {{"Title", MakeValueSet({"Engineer"})},
           {"Org", MakeValueSet({"S3"})}});
-  std::map<Attribute, ValueSet> state{
-      {"Title", MakeValueSet({"Engineer"})},
-      {"Org", MakeValueSet({"S3"})}};
-  EXPECT_DOUBLE_EQ(calc.RecordToStateSimilarity(r, state), 1.0);
+  const auto state = memo.Intern(std::map<Attribute, ValueSet>{
+      {"Title", MakeValueSet({"Engineer"})}, {"Org", MakeValueSet({"S3"})}});
+  EXPECT_EQ(memo.MeanSimilarity(memo.Intern(r.values()), state), 1.0);
 
   // Attributes absent from the state are ignored: the comparison runs over
   // the shared attributes only (here just Title).
   const TemporalRecord with_extra = MakeRecord(
       1, {{"Title", MakeValueSet({"Engineer"})},
           {"Interests", MakeValueSet({"Technology"})}});
-  EXPECT_DOUBLE_EQ(calc.RecordToStateSimilarity(with_extra, state), 1.0);
+  EXPECT_EQ(memo.MeanSimilarity(memo.Intern(with_extra.values()), state),
+            1.0);
 
   const TemporalRecord empty_record(2, "X", 2000, 0);
-  EXPECT_DOUBLE_EQ(calc.RecordToStateSimilarity(empty_record, state), 0.0);
+  EXPECT_EQ(memo.MeanSimilarity(memo.Intern(empty_record.values()), state),
+            0.0);
+
+  // A partial match averages the per-attribute scores in attribute order.
+  const TemporalRecord typo = MakeRecord(
+      3, {{"Title", MakeValueSet({"Enginer"})},
+          {"Org", MakeValueSet({"S3"})}});
+  const double org = calc.ValueSetSimilarity(MakeValueSet({"S3"}),
+                                             MakeValueSet({"S3"}));
+  const double title = calc.ValueSetSimilarity(MakeValueSet({"Enginer"}),
+                                               MakeValueSet({"Engineer"}));
+  EXPECT_EQ(memo.MeanSimilarity(memo.Intern(typo.values()), state),
+            (org + title) / 2.0);
+}
+
+TEST(ValueSetSimilarityMemoTest, InternsEqualSetsToOneId) {
+  SimilarityCalculator calc;
+  ValueSetSimilarityMemo memo(calc);
+  const auto a = memo.Intern(MakeValueSet({"x", "y"}));
+  EXPECT_EQ(memo.Intern(MakeValueSet({"y", "x"})), a);
+  EXPECT_NE(memo.Intern(MakeValueSet({"x"})), a);
+  EXPECT_NE(memo.Intern(ValueSet{}), a);
+  // Element boundaries are part of the identity.
+  EXPECT_NE(memo.Intern(MakeValueSet({"ab", "c"})),
+            memo.Intern(MakeValueSet({"a", "bc"})));
+}
+
+// Scores every ordered pair of `sets` through `memo` twice (misses, then
+// hits) and checks each is exactly ValueSetSimilarity's.
+void ExpectMemoEqualsCalculator(const SimilarityCalculator& calc,
+                                const std::vector<ValueSet>& sets) {
+  ValueSetSimilarityMemo memo(calc);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const ValueSet& a : sets) {
+      for (const ValueSet& b : sets) {
+        EXPECT_EQ(memo.Similarity(a, b), calc.ValueSetSimilarity(a, b))
+            << ValueSetToString(a) << " vs " << ValueSetToString(b);
+      }
+    }
+  }
+  EXPECT_GT(memo.hits(), 0);
+}
+
+TEST(ValueSetSimilarityMemoTest, EqualsCalculatorOnEdgeCases) {
+  const std::vector<ValueSet> sets = {
+      {},                                         // empty
+      MakeValueSet({"Engineer"}),                 // singletons
+      MakeValueSet({"Enginer"}),
+      MakeValueSet({"--"}),                       // no token
+      MakeValueSet({"!!", "??"}),                 // multi-valued, no token
+      MakeValueSet({"S3", "XJek"}),               // multi-valued
+      MakeValueSet({"S3", "Aelita"}),
+      MakeValueSet({"Quest Software", "S3", "Vertex Labs"}),
+  };
+  TfIdfModel tfidf;
+  tfidf.AddDocument({"s3", "xjek"});
+  tfidf.AddDocument({"quest", "software"});
+  tfidf.AddDocument({"aelita"});
+  SimilarityCalculator with_model;
+  with_model.SetTfIdfModel(&tfidf);
+  ExpectMemoEqualsCalculator(with_model, sets);
+  ExpectMemoEqualsCalculator(SimilarityCalculator(), sets);
+
+  // The spelled-out branches.
+  ValueSetSimilarityMemo memo(with_model);
+  EXPECT_EQ(memo.Similarity(ValueSet{}, ValueSet{}), 1.0);
+  EXPECT_EQ(memo.Similarity(sets[5], ValueSet{}), 0.0);
+  EXPECT_EQ(memo.Similarity(ValueSet{}, sets[5]), 0.0);
+  EXPECT_EQ(memo.Similarity(sets[4], sets[4]), 1.0);  // two empty token bags
+  EXPECT_EQ(memo.Similarity(sets[4], sets[5]), 0.0);  // one empty token bag
+  EXPECT_EQ(memo.Similarity(sets[1], sets[2]),
+            JaroWinklerSimilarity("Engineer", "Enginer"));
+  // (a, b) and (b, a) are separate entries, each scored in its own order.
+  EXPECT_EQ(memo.Similarity(sets[5], sets[6]),
+            with_model.ValueSetSimilarity(sets[5], sets[6]));
+  EXPECT_EQ(memo.Similarity(sets[6], sets[5]),
+            with_model.ValueSetSimilarity(sets[6], sets[5]));
+}
+
+TEST(ValueSetSimilarityMemoTest, EqualsCalculatorOnDblpNameBlock) {
+  DblpOptions options;
+  options.seed = 11;
+  options.num_entities = 60;
+  options.num_names = 10;
+  const Dataset dataset = GenerateDblpCorpus(options).dataset;
+  Experiment experiment(&dataset);
+  experiment.Prepare();  // fits TF-IDF over every record's token bag
+  const SimilarityCalculator& calc = experiment.similarity();
+  ASSERT_NE(calc.tfidf_model(), nullptr);
+
+  // One name block, clustered as Phase I does; every (record, majority
+  // state) value-set pair on a shared attribute must score exactly as
+  // without the memo.
+  const EntityId& entity = dataset.targets().begin()->first;
+  std::vector<const TemporalRecord*> block;
+  for (RecordId id : dataset.CandidatesFor(entity)) {
+    block.push_back(&dataset.record(id));
+  }
+  ASSERT_GT(block.size(), 20u);
+  ValueSetSimilarityMemo memo(calc);
+  const std::vector<Cluster> clusters =
+      PartitionClusterer().ClusterRecords(block, memo);
+  ASSERT_GT(clusters.size(), 1u);
+
+  size_t set_valued = 0;
+  for (const TemporalRecord* r : block) {
+    for (const Cluster& c : clusters) {
+      for (const auto& [attribute, state] : c.MajorityState()) {
+        if (!r->HasAttribute(attribute)) continue;
+        const ValueSet& values = r->GetValue(attribute);
+        if (values.size() > 1 || state.size() > 1) ++set_valued;
+        EXPECT_EQ(memo.Similarity(values, state),
+                  calc.ValueSetSimilarity(values, state));
+        EXPECT_EQ(memo.Similarity(state, values),
+                  calc.ValueSetSimilarity(state, values));
+      }
+    }
+  }
+  EXPECT_GT(set_valued, 0u) << "the block never reached the TF-IDF path";
 }
 
 }  // namespace
