@@ -53,18 +53,22 @@ void BM_SequenceValuesAt(benchmark::State& state) {
 }
 BENCHMARK(BM_SequenceValuesAt);
 
-TransitionModel TrainedModel() {
-  const Dataset dataset =
-      GenerateRecruitmentDataset(BenchRecruitmentOptions());
+TransitionModel TrainedModel(const Dataset& dataset, bool cache) {
   ProfileSet profiles;
   for (const auto& [id, target] : dataset.targets()) {
     profiles.push_back(target.ground_truth);
   }
-  return TransitionModel::Train(profiles, dataset.attributes());
+  TransitionModelOptions options;
+  options.cache_probabilities = cache;
+  return TransitionModel::Train(profiles, dataset.attributes(), options);
 }
 
+// Arg 1 keeps the probability cache on, so every iteration after the first
+// is a cache hit; Arg 0 turns it off and times Eq. 1-8 on every call.
 void BM_IntervalProbability(benchmark::State& state) {
-  const TransitionModel model = TrainedModel();
+  const TransitionModel model = TrainedModel(
+      GenerateRecruitmentDataset(BenchRecruitmentOptions()),
+      state.range(0) != 0);
   const ValueSet from = MakeValueSet({"Manager"});
   const ValueSet to = MakeValueSet({"Director"});
   for (auto _ : state) {
@@ -72,7 +76,36 @@ void BM_IntervalProbability(benchmark::State& state) {
         kAttrTitle, from, to, Interval(2000, 2008), Interval(2010, 2012)));
   }
 }
-BENCHMARK(BM_IntervalProbability);
+BENCHMARK(BM_IntervalProbability)->Arg(1)->Arg(0);
+
+// Multi-valued DBLP coauthor sets, each with one name outside the trained
+// vocabulary, so every smoothing case and the case-4 string comparison of
+// two unseen values run. Arg as above.
+void BM_IntervalProbabilityDblp(benchmark::State& state) {
+  const Dataset dataset = GenerateDblpCorpus(BenchDblpOptions()).dataset;
+  const TransitionModel model = TrainedModel(dataset, state.range(0) != 0);
+  ValueSet from, to;
+  Interval from_interval, to_interval;
+  for (const auto& [id, target] : dataset.targets()) {
+    const std::vector<Triple>& triples =
+        target.ground_truth.sequence(kAttrCoauthors).triples();
+    if (triples.size() < 2 || triples[0].values.size() < 2) continue;
+    from = ValueSetUnion(triples[0].values, {"Unseen Coauthor A"});
+    to = ValueSetUnion(triples[1].values, {"Unseen Coauthor B"});
+    from_interval = triples[0].interval;
+    to_interval = triples[1].interval;
+    break;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.IntervalProbability(
+        kAttrCoauthors, from, to, from_interval, to_interval));
+  }
+  state.counters["from_values"] =
+      benchmark::Counter(static_cast<double>(from.size()));
+  state.counters["to_values"] =
+      benchmark::Counter(static_cast<double>(to.size()));
+}
+BENCHMARK(BM_IntervalProbabilityDblp)->Arg(1)->Arg(0);
 
 void BM_SingleEntityLink(benchmark::State& state) {
   const Dataset dataset =

@@ -117,7 +117,7 @@ double ValueSetSimilarityMemo::Compute(SetId a, SetId b) {
   const Entry& vy = Vectorized(b);
   if (vx.empty_bag && vy.empty_bag) return 1.0;
   if (vx.empty_bag || vy.empty_bag) return 0.0;
-  return SparseCosine(vx.vector, vy.vector);
+  return SparseCosine(vx.vector, vy.vector, vx.norm_sq, vy.norm_sq);
 }
 
 const ValueSetSimilarityMemo::Entry& ValueSetSimilarityMemo::Vectorized(
@@ -127,6 +127,7 @@ const ValueSetSimilarityMemo::Entry& ValueSetSimilarityMemo::Vectorized(
     const std::vector<std::string> tokens = ValueSetTokens(*entry.values);
     entry.empty_bag = tokens.empty();
     entry.vector = similarity_.tfidf_model()->Vectorize(tokens);
+    entry.norm_sq = SquaredNorm(entry.vector);
     entry.vectorized = true;
   }
   return entry;

@@ -65,11 +65,12 @@ class SimilarityCalculator {
 
 /// Memo of `SimilarityCalculator::ValueSetSimilarity` for one Phase I run
 /// (Algorithm 2). Each distinct value set is interned to a dense id; the
-/// TF-IDF vector of each id and the score of each ordered id pair are
-/// computed once. Every score is exactly what `ValueSetSimilarity(a, b)`
-/// returns: the function is pure, keys keep the argument order, and the
-/// cosine runs `SparseCosine` on the same `Vectorize` outputs that
-/// `TfIdfModel::CosineSimilarity` builds.
+/// TF-IDF vector of each id, its squared norm and the score of each ordered
+/// id pair are computed once. Every score is exactly what
+/// `ValueSetSimilarity(a, b)` returns: the function is pure, keys keep the
+/// argument order, and the cosine runs `SparseCosine` on the same
+/// `Vectorize` outputs that `TfIdfModel::CosineSimilarity` builds, with
+/// norms summed over those same vector objects.
 ///
 /// Not thread-safe. It is meant to live on the stack of one call, so it
 /// needs no lock and no eviction; its memory goes when the call returns.
@@ -113,6 +114,7 @@ class ValueSetSimilarityMemo {
     bool vectorized = false;
     bool empty_bag = false;  // no token in any value (TF-IDF path only)
     SparseVector vector;
+    double norm_sq = 0.0;  // SquaredNorm(vector)
   };
 
   double Compute(SetId a, SetId b);

@@ -51,7 +51,18 @@ double TfIdfModel::CosineSimilarity(const std::vector<std::string>& a,
   return SparseCosine(Vectorize(a), Vectorize(b));
 }
 
+double SquaredNorm(const SparseVector& v) {
+  double norm_sq = 0.0;
+  for (const auto& [t, w] : v) norm_sq += w * w;
+  return norm_sq;
+}
+
 double SparseCosine(const SparseVector& a, const SparseVector& b) {
+  return SparseCosine(a, b, SquaredNorm(a), SquaredNorm(b));
+}
+
+double SparseCosine(const SparseVector& a, const SparseVector& b,
+                    double norm_sq_a, double norm_sq_b) {
   const SparseVector& small = a.size() <= b.size() ? a : b;
   const SparseVector& large = a.size() <= b.size() ? b : a;
   double dot = 0.0;
@@ -59,11 +70,8 @@ double SparseCosine(const SparseVector& a, const SparseVector& b) {
     auto it = large.find(token);
     if (it != large.end()) dot += weight * it->second;
   }
-  double norm_a = 0.0, norm_b = 0.0;
-  for (const auto& [t, w] : a) norm_a += w * w;
-  for (const auto& [t, w] : b) norm_b += w * w;
-  if (ApproxZero(norm_a) || ApproxZero(norm_b)) return 0.0;
-  return dot / std::sqrt(norm_a * norm_b);
+  if (ApproxZero(norm_sq_a) || ApproxZero(norm_sq_b)) return 0.0;
+  return dot / std::sqrt(norm_sq_a * norm_sq_b);
 }
 
 }  // namespace maroon

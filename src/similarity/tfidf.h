@@ -49,8 +49,17 @@ class TfIdfModel {
   size_t num_documents_ = 0;
 };
 
+/// Σ w² over `v`, summed in `v`'s iteration order.
+double SquaredNorm(const SparseVector& v);
+
 /// Cosine similarity between two sparse vectors (not assumed normalized).
 double SparseCosine(const SparseVector& a, const SparseVector& b);
+
+/// SparseCosine with the squared norms given: `norm_sq_a` and `norm_sq_b`
+/// must be SquaredNorm of these same `a` and `b` objects (an unordered map's
+/// copy may iterate, and so round, differently).
+double SparseCosine(const SparseVector& a, const SparseVector& b,
+                    double norm_sq_a, double norm_sq_b);
 
 }  // namespace maroon
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <unordered_map>
 #include <system_error>
 
 #include "common/csv.h"
@@ -25,46 +26,63 @@ ValueSet MapValueSet(const ValueMapper* mapper, const Attribute& attribute,
   return MakeValueSet(std::move(mapped));
 }
 
-/// One worker's private slice of the training counts for one attribute.
-/// Sharding is exact: Δt-transition counting is integer addition, which
-/// commutes, so merging shards in any grouping reproduces the serial counts
-/// bit for bit (and Finalize derives all doubles from those integers).
+/// One worker's private slice of the training state for one attribute.
+/// Sharding is exact: frequencies and Δt-transition counts are integer
+/// sums, which commute, so merging shards in any grouping reproduces the
+/// serial counts bit for bit (and the tables derive all doubles from those
+/// integers).
 struct TrainShard {
-  std::map<int64_t, TransitionTable> tables;
   std::map<Value, int64_t> value_frequency;
   int64_t max_lifespan = 0;
+  /// Δt -> packed (from, to) id pair -> count.
+  std::map<int64_t, std::unordered_map<TransitionTable::PackedPair, int64_t>>
+      counts;
   int64_t observations = 0;
 };
 
-/// Counts one profile's contribution for `attribute` into `shard`
-/// (Algorithm 1 over every ordered triple pair via Proposition 1).
-void CountProfileTransitions(const ValueMapper* mapper,
-                             const Attribute& attribute,
-                             const EntityProfile& profile, TrainShard* shard) {
+/// Adds one profile's instants-weighted value frequencies and lifespan for
+/// `attribute` into `shard`; these are the attribute's vocabulary.
+void CountProfileValues(const ValueMapper* mapper, const Attribute& attribute,
+                        const EntityProfile& profile, TrainShard* shard) {
   const TemporalSequence& seq = profile.sequence(attribute);
   if (seq.empty()) return;
   shard->max_lifespan = std::max(shard->max_lifespan, seq.Lifespan());
-
-  // Value frequencies (instants-weighted) for the low-frequency fallback.
   for (const Triple& tr : seq.triples()) {
-    const ValueSet mapped = MapValueSet(mapper, attribute, tr.values);
-    for (const Value& v : mapped) {
+    for (const Value& v : MapValueSet(mapper, attribute, tr.values)) {
       shard->value_frequency[v] += tr.interval.Length();
     }
+  }
+}
+
+/// Counts one profile's Δt-transitions for `attribute` into `shard` as id
+/// pairs of `dictionary` (Algorithm 1 over every ordered triple pair via
+/// Proposition 1).
+void CountProfileTransitions(const ValueMapper* mapper,
+                             const Attribute& attribute,
+                             const ValueDictionary& dictionary,
+                             const EntityProfile& profile, TrainShard* shard) {
+  const std::vector<Triple>& triples = profile.sequence(attribute).triples();
+  // Each triple's mapped set as ascending ids (ids order like values).
+  std::vector<std::vector<ValueId>> ids(triples.size());
+  for (size_t i = 0; i < triples.size(); ++i) {
+    for (const Value& v : triples[i].values) {
+      const ValueId id = mapper != nullptr
+                             ? dictionary.Find(mapper->Map(attribute, v))
+                             : dictionary.Find(v);
+      MAROON_DCHECK(id != kNoValueId);
+      ids[i].push_back(id);
+    }
+    std::sort(ids[i].begin(), ids[i].end());
+    ids[i].erase(std::unique(ids[i].begin(), ids[i].end()), ids[i].end());
   }
 
   // Algorithm 1: every ordered pair of triples (b <= b'), every valid Δt,
   // counted in closed form via Proposition 1.
-  const std::vector<Triple>& triples = seq.triples();
   for (size_t i = 0; i < triples.size(); ++i) {
     const Interval& first = triples[i].interval;
-    const ValueSet from = MapValueSet(mapper, attribute, triples[i].values);
     for (size_t j = i; j < triples.size(); ++j) {
       const Interval& second = triples[j].interval;
       MAROON_DCHECK(first.begin <= second.begin);
-      const ValueSet to =
-          (j == i) ? from : MapValueSet(mapper, attribute,
-                                        triples[j].values);
       const int64_t delta_min = std::max<int64_t>(
           1, static_cast<int64_t>(second.begin) - first.end);
       const int64_t delta_max =
@@ -79,15 +97,32 @@ void CountProfileTransitions(const ValueMapper* mapper,
         const int64_t occurrences = hi - lo + 1;
         if (occurrences <= 0) continue;
         ++shard->observations;
-        TransitionTable& table = shard->tables[delta];
-        for (const Value& v : from) {
-          for (const Value& w : to) {
-            table.Add(v, w, occurrences);
+        auto& counts = shard->counts[delta];
+        for (ValueId v : ids[i]) {
+          for (ValueId w : ids[j]) {
+            counts[TransitionTable::Pack(v, w)] += occurrences;
           }
         }
       }
     }
   }
+}
+
+/// Runs `count(profile, shard)` over every profile, one shard per strand.
+template <typename CountFn>
+std::vector<TrainShard> CountShards(const ProfileSet& profiles,
+                                    ThreadPool* pool, int width,
+                                    const CountFn& count) {
+  std::vector<TrainShard> shards(pool != nullptr ? width : 1);
+  if (pool == nullptr) {
+    for (const EntityProfile& profile : profiles) count(profile, &shards[0]);
+  } else {
+    pool->ParallelFor(profiles.size(), width, [&](int strand, size_t i) {
+      obs::PoolTaskScope task("pool.train_profile");
+      count(profiles[i], &shards[strand]);
+    });
+  }
+  return shards;
 }
 
 }  // namespace
@@ -107,32 +142,48 @@ TransitionModel TransitionModel::Train(
   for (const Attribute& attribute : attributes) {
     AttributeModel& am = model.attributes_[attribute];
 
-    std::vector<TrainShard> shards(pool != nullptr ? width : 1);
-    if (pool == nullptr) {
-      for (const EntityProfile& profile : profiles) {
-        CountProfileTransitions(mapper, attribute, profile, &shards[0]);
-      }
-    } else {
-      pool->ParallelFor(profiles.size(), width, [&](int strand, size_t i) {
-        obs::PoolTaskScope task("pool.train_profile");
-        CountProfileTransitions(mapper, attribute, profiles[i],
-                                &shards[strand]);
-      });
-    }
-
-    // Serial merge in strand order; see TrainShard on why this is exact.
-    for (TrainShard& shard : shards) {
+    // Pass 1: the vocabulary and its frequencies. Shards merge in strand
+    // order; see TrainShard on why this is exact.
+    std::map<Value, int64_t> frequency;
+    for (TrainShard& shard : CountShards(
+             profiles, pool, width,
+             [&](const EntityProfile& profile, TrainShard* shard) {
+               CountProfileValues(mapper, attribute, profile, shard);
+             })) {
       am.max_lifespan = std::max(am.max_lifespan, shard.max_lifespan);
       for (const auto& [value, count] : shard.value_frequency) {
-        am.value_frequency[value] += count;
+        frequency[value] += count;
       }
-      for (auto& [delta, table] : shard.tables) {
-        am.tables[delta].MergeFrom(table);
+    }
+    std::vector<Value> values;
+    values.reserve(frequency.size());
+    for (const auto& [value, count] : frequency) {
+      values.push_back(value);
+      am.value_frequency.emplace_back(count);
+    }
+    am.dictionary = std::make_shared<const ValueDictionary>(std::move(values));
+
+    // Pass 2: Δt-transition counts over the now read-only dictionary.
+    std::map<int64_t, std::unordered_map<TransitionTable::PackedPair, int64_t>>
+        counts;
+    for (TrainShard& shard : CountShards(
+             profiles, pool, width,
+             [&](const EntityProfile& profile, TrainShard* shard) {
+               CountProfileTransitions(mapper, attribute, *am.dictionary,
+                                       profile, shard);
+             })) {
+      for (auto& [delta, shard_counts] : shard.counts) {
+        auto& merged = counts[delta];
+        for (const auto& [pair, count] : shard_counts) merged[pair] += count;
       }
       observations += shard.observations;
     }
-
-    for (auto& [delta, table] : am.tables) table.Finalize();
+    for (auto& [delta, delta_counts] : counts) {
+      am.tables.emplace(
+          delta, TransitionTable(am.dictionary,
+                                 {delta_counts.begin(), delta_counts.end()}));
+      delta_counts = {};
+    }
     MAROON_COUNTER("maroon.transition.tables_built")
         ->Add(static_cast<int64_t>(am.tables.size()));
   }
@@ -143,11 +194,6 @@ TransitionModel TransitionModel::Train(
     model.cache_ = std::make_shared<TransitionProbabilityCache>();
   }
   return model;
-}
-
-Value TransitionModel::MapValue(const Attribute& attribute,
-                                const Value& value) const {
-  return options_.mapper ? options_.mapper->Map(attribute, value) : value;
 }
 
 const TransitionTable* TransitionModel::ResolveTable(
@@ -163,40 +209,58 @@ const TransitionTable* TransitionModel::ResolveTable(
   return &it->second;
 }
 
+struct TransitionModel::LookupTally {
+  int64_t exact = 0;
+  int64_t case1 = 0;
+  int64_t case2 = 0;
+  int64_t case3 = 0;
+  int64_t case4 = 0;
+  int64_t cache_hits = 0;
+  int64_t cache_misses = 0;
+
+  /// Adds each nonzero count to its counter once.
+  void Publish() const {
+    const auto publish = [](obs::Counter* counter, int64_t n) {
+      if (n != 0) counter->Add(n);
+    };
+    publish(MAROON_COUNTER("maroon.transition.case_exact"), exact);
+    publish(MAROON_COUNTER("maroon.transition.case1_unseen_pair"), case1);
+    publish(MAROON_COUNTER("maroon.transition.case2_unseen_destination"),
+            case2);
+    publish(MAROON_COUNTER("maroon.transition.case3_unseen_origin"), case3);
+    publish(MAROON_COUNTER("maroon.transition.case4_both_unseen"), case4);
+    publish(MAROON_COUNTER("maroon.transition.cache_hits"), cache_hits);
+    publish(MAROON_COUNTER("maroon.transition.cache_misses"), cache_misses);
+  }
+};
+
 std::vector<TransitionModel::MappedValue> TransitionModel::MapSet(
     const AttributeModel& am, const Attribute& attribute,
     const ValueSet& values) const {
-  std::vector<MappedValue> out;
-  out.reserve(values.size());
-  for (const Value& v : values) {
-    MappedValue mv;
-    mv.value = MapValue(attribute, v);
-    auto it = am.value_frequency.find(mv.value);
+  std::vector<MappedValue> out(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    MappedValue& mv = out[i];
+    if (options_.mapper != nullptr) {
+      Value mapped = options_.mapper->Map(attribute, values[i]);
+      mv.id = am.dictionary->Find(mapped);
+      if (mv.id == kNoValueId) mv.unknown = std::move(mapped);
+    } else {
+      mv.id = am.dictionary->Find(values[i]);
+      if (mv.id == kNoValueId) mv.unknown = values[i];
+    }
     const int64_t frequency =
-        it != am.value_frequency.end() ? it->second : 0;
+        mv.id != kNoValueId ? am.value_frequency[mv.id].value_or(0) : 0;
     mv.frequent = frequency >= options_.min_value_frequency;
-    out.push_back(std::move(mv));
   }
   return out;
 }
 
 double TransitionModel::PairProbability(const TransitionTable& table,
                                         const MappedValue& from,
-                                        const MappedValue& to) const {
-  const bool from_seen = from.frequent && table.HasOrigin(from.value);
-  const bool to_seen = to.frequent && table.HasDestination(to.value);
-
-  // Smoothing-case hit rates (Eq. 1 and Eq. 3-8): one relaxed atomic add per
-  // lookup, dominated by the table probes above.
-  obs::Counter* hits_exact = MAROON_COUNTER("maroon.transition.case_exact");
-  obs::Counter* hits_case1 =
-      MAROON_COUNTER("maroon.transition.case1_unseen_pair");
-  obs::Counter* hits_case2 =
-      MAROON_COUNTER("maroon.transition.case2_unseen_destination");
-  obs::Counter* hits_case3 =
-      MAROON_COUNTER("maroon.transition.case3_unseen_origin");
-  obs::Counter* hits_case4 =
-      MAROON_COUNTER("maroon.transition.case4_both_unseen");
+                                        const MappedValue& to,
+                                        LookupTally* tally) const {
+  const bool from_seen = from.frequent && table.HasOrigin(from.id);
+  const bool to_seen = to.frequent && table.HasDestination(to.id);
 
   // "Unseen transitions are rare": optionally bound smoothed probabilities
   // by the evidence mass that failed to produce the transition.
@@ -207,27 +271,33 @@ double TransitionModel::PairProbability(const TransitionTable& table,
   };
 
   if (from_seen && to_seen) {
-    const int64_t count = table.Count(from.value, to.value);
+    const int64_t count = table.Count(from.id, to.id);
     if (count > 0) {
-      hits_exact->Add();
-      return table.ConditionalProbability(from.value, to.value);  // Eq. 1.
+      ++tally->exact;
+      // Eq. 1, as TransitionTable::ConditionalProbability computes it.
+      return static_cast<double>(count) /
+             static_cast<double>(table.RowSum(from.id));
     }
     // Case 1 (Eq. 3).
-    hits_case1->Add();
-    return rare(table.MinRowProbability(from.value), table.RowSum(from.value));
+    ++tally->case1;
+    return rare(table.MinRowProbability(from.id), table.RowSum(from.id));
   }
   if (from_seen) {
     // Case 2 (Eq. 4).
-    hits_case2->Add();
-    return rare(table.MinRowProbability(from.value), table.RowSum(from.value));
+    ++tally->case2;
+    return rare(table.MinRowProbability(from.id), table.RowSum(from.id));
   }
   if (to_seen) {
-    hits_case3->Add();
-    return table.PriorProbability(to.value);  // Case 3 (Eq. 5).
+    ++tally->case3;
+    return table.PriorProbability(to.id);  // Case 3 (Eq. 5).
   }
-  // Case 4 (Eq. 6-8).
-  hits_case4->Add();
-  if (from.value == to.value) return table.RecurrenceProbability();
+  // Case 4 (Eq. 6-8). Equal ids are equal values; two values outside the
+  // vocabulary compare by the values themselves.
+  ++tally->case4;
+  if (from.id == to.id &&
+      (from.id != kNoValueId || from.unknown == to.unknown)) {
+    return table.RecurrenceProbability();
+  }
   return rare(table.ExpectedChangeProbability(), table.DiffTotal());
 }
 
@@ -242,19 +312,22 @@ double TransitionModel::Probability(const Attribute& attribute, const Value& v,
   if (table == nullptr || table->empty()) return 0.0;
   const std::vector<MappedValue> from = MapSet(am, attribute, {v});
   const std::vector<MappedValue> to = MapSet(am, attribute, {v_next});
-  return PairProbability(*table, from[0], to[0]);
+  LookupTally tally;
+  const double probability = PairProbability(*table, from[0], to[0], &tally);
+  tally.Publish();
+  return probability;
 }
 
 double TransitionModel::SetProbabilityImpl(
     const TransitionTable* table, const std::vector<MappedValue>& from,
-    const std::vector<MappedValue>& to) const {
+    const std::vector<MappedValue>& to, LookupTally* tally) const {
   if (to.empty() || from.empty()) return 0.0;
   if (table == nullptr || table->empty()) return 0.0;
   double total = 0.0;
   for (const MappedValue& w : to) {
     double best = 0.0;
     for (const MappedValue& v : from) {
-      best = std::max(best, PairProbability(*table, v, w));
+      best = std::max(best, PairProbability(*table, v, w, tally));
     }
     total += best;
   }
@@ -262,28 +335,30 @@ double TransitionModel::SetProbabilityImpl(
 }
 
 SetFingerprint TransitionModel::FingerprintOf(
-    const std::vector<MappedValue>& set) {
+    const AttributeModel& am, const std::vector<MappedValue>& set) {
   SetFingerprintBuilder fp;
-  for (const MappedValue& mv : set) fp.Add(mv.value, mv.frequent);
+  for (const MappedValue& mv : set) {
+    fp.Add(mv.id != kNoValueId ? std::string_view(am.dictionary->value(mv.id))
+                               : std::string_view(mv.unknown),
+           mv.frequent);
+  }
   return fp.fingerprint();
 }
 
 double TransitionModel::CachedSetProbability(
     const TransitionTable* table, const std::vector<MappedValue>& from,
     const std::vector<MappedValue>& to, const SetFingerprint& from_fp,
-    const SetFingerprint& to_fp) const {
+    const SetFingerprint& to_fp, LookupTally* tally) const {
   if (cache_ == nullptr || table == nullptr || table->empty()) {
-    return SetProbabilityImpl(table, from, to);
+    return SetProbabilityImpl(table, from, to, tally);
   }
-  obs::Counter* hits = MAROON_COUNTER("maroon.transition.cache_hits");
-  obs::Counter* misses = MAROON_COUNTER("maroon.transition.cache_misses");
   double value = 0.0;
   if (cache_->Lookup(table->cache_salt(), from_fp, to_fp, &value)) {
-    hits->Add();
+    ++tally->cache_hits;
     return value;
   }
-  misses->Add();
-  value = SetProbabilityImpl(table, from, to);
+  ++tally->cache_misses;
+  value = SetProbabilityImpl(table, from, to, tally);
   cache_->Put(table->cache_salt(), from_fp, to_fp, value);
   return value;
 }
@@ -300,12 +375,16 @@ double TransitionModel::SetProbability(const Attribute& attribute,
   if (delta == 0) return 1.0;  // Eq. 2 lifts to sets: every max term is 1.
   const std::vector<MappedValue> mapped_from = MapSet(am, attribute, from);
   const std::vector<MappedValue> mapped_to = MapSet(am, attribute, to);
-  if (cache_ == nullptr) {
-    return SetProbabilityImpl(ResolveTable(am, delta), mapped_from, mapped_to);
-  }
-  return CachedSetProbability(ResolveTable(am, delta), mapped_from, mapped_to,
-                              FingerprintOf(mapped_from),
-                              FingerprintOf(mapped_to));
+  LookupTally tally;
+  const double probability =
+      cache_ == nullptr
+          ? SetProbabilityImpl(ResolveTable(am, delta), mapped_from,
+                               mapped_to, &tally)
+          : CachedSetProbability(ResolveTable(am, delta), mapped_from,
+                                 mapped_to, FingerprintOf(am, mapped_from),
+                                 FingerprintOf(am, mapped_to), &tally);
+  tally.Publish();
+  return probability;
 }
 
 double TransitionModel::IntervalProbability(const Attribute& attribute,
@@ -325,9 +404,10 @@ double TransitionModel::IntervalProbability(const Attribute& attribute,
   const std::vector<MappedValue> mapped_to = MapSet(am, attribute, to);
   SetFingerprint from_fp, to_fp;
   if (cache_ != nullptr) {
-    from_fp = FingerprintOf(mapped_from);
-    to_fp = FingerprintOf(mapped_to);
+    from_fp = FingerprintOf(am, mapped_from);
+    to_fp = FingerprintOf(am, mapped_to);
   }
+  LookupTally tally;
 
   const int64_t pair_count = from_interval.Length() * to_interval.Length();
   double total = 0.0;
@@ -347,7 +427,7 @@ double TransitionModel::IntervalProbability(const Attribute& attribute,
       if (multiplicity <= 0) continue;
       total += static_cast<double>(multiplicity) *
                CachedSetProbability(ResolveTable(am, d), mapped_from,
-                                    mapped_to, from_fp, to_fp);
+                                    mapped_to, from_fp, to_fp, &tally);
     }
   }
   // Backward terms: t' < t with gap g, contributing Pr(V', V, g) per Eq. 13.
@@ -365,7 +445,7 @@ double TransitionModel::IntervalProbability(const Attribute& attribute,
       if (multiplicity <= 0) continue;
       total += static_cast<double>(multiplicity) *
                CachedSetProbability(ResolveTable(am, g), mapped_to,
-                                    mapped_from, to_fp, from_fp);
+                                    mapped_from, to_fp, from_fp, &tally);
     }
   }
   if (options_.include_zero_delta_terms && from_interval.Overlaps(to_interval)) {
@@ -373,6 +453,7 @@ double TransitionModel::IntervalProbability(const Attribute& attribute,
     total += static_cast<double>(
         from_interval.Intersect(to_interval).Length());
   }
+  tally.Publish();
   return total / static_cast<double>(pair_count);
 }
 
@@ -417,9 +498,9 @@ int64_t TransitionModel::ValueFrequency(const Attribute& attribute,
                                         const Value& value) const {
   auto attr_it = attributes_.find(attribute);
   if (attr_it == attributes_.end()) return 0;
-  const Value mapped = MapValue(attribute, value);
-  auto it = attr_it->second.value_frequency.find(mapped);
-  return it != attr_it->second.value_frequency.end() ? it->second : 0;
+  const AttributeModel& am = attr_it->second;
+  const ValueId id = MapSet(am, attribute, {value})[0].id;
+  return id != kNoValueId ? am.value_frequency[id].value_or(0) : 0;
 }
 
 namespace {
@@ -449,9 +530,10 @@ std::string TransitionModel::Serialize() const {
   for (const auto& [attribute, am] : attributes_) {
     writer.AppendRow({"lifespan", attribute,
                       std::to_string(am.max_lifespan)});
-    for (const auto& [value, count] : am.value_frequency) {
-      writer.AppendRow({"frequency", attribute, value,
-                        std::to_string(count)});
+    for (ValueId id = 0; id < am.value_frequency.size(); ++id) {
+      if (!am.value_frequency[id].has_value()) continue;
+      writer.AppendRow({"frequency", attribute, am.dictionary->value(id),
+                        std::to_string(*am.value_frequency[id])});
     }
     for (const auto& [delta, table] : am.tables) {
       for (const auto& [from, to, count] : table.Entries()) {
@@ -474,6 +556,13 @@ Result<TransitionModel> TransitionModel::Deserialize(
 
   TransitionModel model;
   model.options_ = std::move(options);
+  // Rows as parsed, per attribute; the dictionary needs every value first.
+  struct ParsedAttribute {
+    std::map<Value, int64_t> frequency;
+    /// Δt -> (row index, count) of its entry rows.
+    std::map<int64_t, std::vector<std::pair<size_t, int64_t>>> entries;
+  };
+  std::map<Attribute, ParsedAttribute> parsed;
   for (size_t i = 1; i < rows.size(); ++i) {
     const auto& row = rows[i];
     if (row.empty()) continue;
@@ -501,6 +590,7 @@ Result<TransitionModel> TransitionModel::Deserialize(
       int64_t lifespan = 0;
       MAROON_RETURN_IF_ERROR(ParseInt64(row[2], &lifespan));
       model.attributes_[row[1]].max_lifespan = lifespan;
+      parsed[row[1]];
     } else if (kind == "frequency") {
       if (row.size() != 4) {
         return Status::InvalidArgument("malformed frequency row " +
@@ -508,7 +598,8 @@ Result<TransitionModel> TransitionModel::Deserialize(
       }
       int64_t count = 0;
       MAROON_RETURN_IF_ERROR(ParseInt64(row[3], &count));
-      model.attributes_[row[1]].value_frequency[row[2]] = count;
+      model.attributes_[row[1]];
+      parsed[row[1]].frequency[row[2]] = count;
     } else if (kind == "entry") {
       if (row.size() != 6) {
         return Status::InvalidArgument("malformed entry row " +
@@ -521,13 +612,40 @@ Result<TransitionModel> TransitionModel::Deserialize(
         return Status::InvalidArgument("non-positive count in row " +
                                        std::to_string(i));
       }
-      model.attributes_[row[1]].tables[delta].Add(row[3], row[4], count);
+      model.attributes_[row[1]];
+      parsed[row[1]].entries[delta].emplace_back(i, count);
     } else {
       return Status::InvalidArgument("unknown row kind '" + kind + "'");
     }
   }
   for (auto& [attribute, am] : model.attributes_) {
-    for (auto& [delta, table] : am.tables) table.Finalize();
+    const ParsedAttribute& p = parsed[attribute];
+    std::vector<Value> values;
+    for (const auto& [value, count] : p.frequency) values.push_back(value);
+    for (const auto& [delta, entries] : p.entries) {
+      for (const auto& [row, count] : entries) {
+        values.push_back(rows[row][3]);
+        values.push_back(rows[row][4]);
+      }
+    }
+    am.dictionary = std::make_shared<const ValueDictionary>(
+        MakeValueSet(std::move(values)));
+    am.value_frequency.resize(am.dictionary->size());
+    for (const auto& [value, count] : p.frequency) {
+      am.value_frequency[am.dictionary->Find(value)] = count;
+    }
+    for (const auto& [delta, entries] : p.entries) {
+      std::vector<std::pair<TransitionTable::PackedPair, int64_t>> counts;
+      counts.reserve(entries.size());
+      for (const auto& [row, count] : entries) {
+        counts.emplace_back(
+            TransitionTable::Pack(am.dictionary->Find(rows[row][3]),
+                                  am.dictionary->Find(rows[row][4])),
+            count);
+      }
+      am.tables.emplace(delta,
+                        TransitionTable(am.dictionary, std::move(counts)));
+    }
   }
   if (model.options_.cache_probabilities) {
     model.cache_ = std::make_shared<TransitionProbabilityCache>();

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -135,19 +136,30 @@ class TransitionModel {
 
  private:
   struct AttributeModel {
+    /// The attribute's mapped values; every table below is keyed by its ids.
+    std::shared_ptr<const ValueDictionary> dictionary;
+    /// Instants-weighted training frequency per id; empty for a value that
+    /// only a deserialized `entry` row names.
+    std::vector<std::optional<int64_t>> value_frequency;
     std::map<int64_t, TransitionTable> tables;
-    std::map<Value, int64_t> value_frequency;
     int64_t max_lifespan = 0;
   };
 
-  /// A value mapped through the generalization with its low-frequency flag
-  /// precomputed — the hot loops of Eq. 12-14 resolve each value once.
+  /// A value resolved against the attribute's dictionary, with its
+  /// low-frequency flag precomputed — the hot loops of Eq. 12-14 resolve
+  /// each value once.
   struct MappedValue {
-    Value value;
+    ValueId id = kNoValueId;
     bool frequent = false;
+    /// The mapped value when it is outside the vocabulary (id ==
+    /// kNoValueId): Eq. 6 and the cache fingerprint tell such values apart
+    /// by it.
+    Value unknown;
   };
 
-  Value MapValue(const Attribute& attribute, const Value& value) const;
+  /// Per-call counts of the smoothing cases and cache outcomes, published to
+  /// the metrics registry once per query.
+  struct LookupTally;
 
   /// Maps a whole set for `attribute` under `am` (parallel to the input;
   /// no dedup, preserving Eq. 12's |V'| semantics).
@@ -157,16 +169,18 @@ class TransitionModel {
 
   /// Eq. 1-8 given the already-resolved table and mapped values.
   double PairProbability(const TransitionTable& table, const MappedValue& from,
-                         const MappedValue& to) const;
+                         const MappedValue& to, LookupTally* tally) const;
 
   /// Eq. 12 given resolved state.
   double SetProbabilityImpl(const TransitionTable* table,
                             const std::vector<MappedValue>& from,
-                            const std::vector<MappedValue>& to) const;
+                            const std::vector<MappedValue>& to,
+                            LookupTally* tally) const;
 
   /// Fingerprints a mapped set in its canonical order (MapSet preserves the
   /// input ValueSet order, which is already sorted).
-  static SetFingerprint FingerprintOf(const std::vector<MappedValue>& set);
+  static SetFingerprint FingerprintOf(const AttributeModel& am,
+                                      const std::vector<MappedValue>& set);
 
   /// SetProbabilityImpl behind the probability cache (when enabled).
   /// `from_fp`/`to_fp` must be the fingerprints of `from`/`to` — callers
@@ -176,7 +190,8 @@ class TransitionModel {
                               const std::vector<MappedValue>& from,
                               const std::vector<MappedValue>& to,
                               const SetFingerprint& from_fp,
-                              const SetFingerprint& to_fp) const;
+                              const SetFingerprint& to_fp,
+                              LookupTally* tally) const;
 
   /// Clamps Δt per Eq. 2 and picks the nearest available table at or below
   /// it (or the smallest table above, if none below exists).

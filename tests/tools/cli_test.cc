@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/hash.h"
+
 namespace maroon {
 namespace {
 
@@ -127,6 +129,43 @@ TEST_F(CliTest, TransitionsAndExport) {
             0)
       << out;
   EXPECT_TRUE(std::filesystem::exists(dir_ + "/tt.csv"));
+}
+
+TEST_F(CliTest, TransitionsOutputIsPinned) {
+  // Golden hashes of the listing and the export for a fixed corpus: the
+  // tables' counts, their order and every printed probability.
+  const auto hash = [](const std::string& text) {
+    Fnv1a h;
+    h.Bytes(text);
+    return h.hash();
+  };
+  std::string out;
+  ASSERT_EQ(Run("generate --dataset=recruitment --out=" + dir_ +
+                    "/data --entities=25 --names=10 --seed=5",
+                &out),
+            0);
+  ASSERT_EQ(Run("transitions --data=" + dir_ +
+                    "/data --attribute=Organization --delta=3",
+                &out),
+            0)
+      << out;
+  EXPECT_EQ(out.size(), 2550u);
+  EXPECT_EQ(hash(out), 0x68e56bd6fd8c908full);
+  ASSERT_EQ(Run("transitions --data=" + dir_ +
+                    "/data --attribute=Title --from=Manager --delta=5",
+                &out),
+            0)
+      << out;
+  EXPECT_EQ(hash(out), 0x24ac81a4b5231842ull);
+  ASSERT_EQ(Run("transitions --data=" + dir_ +
+                    "/data --attribute=Organization --export=" + dir_ +
+                    "/org.csv",
+                &out),
+            0)
+      << out;
+  const std::string csv = ReadFile(dir_ + "/org.csv");
+  EXPECT_EQ(csv.size(), 176074u);
+  EXPECT_EQ(hash(csv), 0x5600170dbb3f69a1ull);
 }
 
 TEST_F(CliTest, ValidateInjectLenientWorkflow) {
