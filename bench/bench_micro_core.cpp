@@ -1,7 +1,7 @@
 // Microbenchmarks of the core primitives: string similarity, TF-IDF,
-// temporal-sequence queries, transition-table probability lookups, and
-// single-entity Phase I / Phase II runs. Pure google-benchmark — no
-// reproduction table.
+// temporal-sequence queries, transition-table probability lookups, candidate
+// blocking, and single-entity Phase I / Phase II runs. Pure google-benchmark
+// — no reproduction table.
 
 #include <benchmark/benchmark.h>
 
@@ -106,6 +106,32 @@ void BM_IntervalProbabilityDblp(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(to.size()));
 }
 BENCHMARK(BM_IntervalProbabilityDblp)->Arg(1)->Arg(0);
+
+// One target's candidate block out of a ~1e5-record Recruitment corpus
+// (5,700 entities over 1,900 names, the shape of perfbench's
+// batch_recruitment), cycling through every target.
+void BM_CandidatesFor(benchmark::State& state) {
+  RecruitmentOptions options;
+  options.seed = 1;
+  options.num_entities = 5700;
+  options.num_names = 1900;
+  const Dataset dataset = GenerateRecruitmentDataset(options);
+  std::vector<EntityId> targets;
+  for (const auto& [id, target] : dataset.targets()) targets.push_back(id);
+  size_t next = 0;
+  size_t candidates = 0;
+  for (auto _ : state) {
+    const size_t block = dataset.CandidatesFor(targets[next]).size();
+    benchmark::DoNotOptimize(block);
+    candidates += block;
+    next = next + 1 == targets.size() ? 0 : next + 1;
+  }
+  state.counters["records"] =
+      benchmark::Counter(static_cast<double>(dataset.NumRecords()));
+  state.counters["candidates"] = benchmark::Counter(
+      static_cast<double>(candidates), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CandidatesFor)->Unit(benchmark::kMicrosecond);
 
 void BM_SingleEntityLink(benchmark::State& state) {
   const Dataset dataset =

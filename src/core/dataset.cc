@@ -5,6 +5,15 @@
 
 namespace maroon {
 
+namespace {
+
+const std::vector<RecordId>& NoRecords() {
+  static const std::vector<RecordId>* kNone = new std::vector<RecordId>();
+  return *kNone;
+}
+
+}  // namespace
+
 SourceId Dataset::AddSource(std::string name) {
   SourceId id = static_cast<SourceId>(sources_.size());
   sources_.push_back(DataSource{id, std::move(name)});
@@ -18,9 +27,19 @@ RecordId Dataset::AddRecord(TemporalRecord record) {
   for (const auto& [attr, vs] : record.values()) {
     stored.SetValue(attr, vs);
   }
+  by_name_[stored.name()].push_back(id);
   records_.push_back(std::move(stored));
   labels_.emplace_back();
   return id;
+}
+
+void Dataset::Reindex() {
+  by_name_.clear();
+  by_label_.clear();
+  for (RecordId id = 0; id < records_.size(); ++id) {
+    by_name_[records_[id].name()].push_back(id);
+    if (!labels_[id].empty()) by_label_[labels_[id]].push_back(id);
+  }
 }
 
 size_t Dataset::EraseRecords(const std::vector<RecordId>& ids) {
@@ -51,6 +70,7 @@ size_t Dataset::EraseRecords(const std::vector<RecordId>& ids) {
   }
   records_ = std::move(kept_records);
   labels_ = std::move(kept_labels);
+  Reindex();
   return erased;
 }
 
@@ -59,7 +79,19 @@ Status Dataset::SetLabel(RecordId id, EntityId entity) {
     return Status::OutOfRange("record id " + std::to_string(id) +
                               " out of range");
   }
-  labels_[id] = std::move(entity);
+  EntityId& label = labels_[id];
+  if (label == entity) return Status::OK();
+  if (!label.empty()) {
+    auto bucket = by_label_.find(label);
+    std::vector<RecordId>& ids = bucket->second;
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), id));
+    if (ids.empty()) by_label_.erase(bucket);
+  }
+  if (!entity.empty()) {
+    std::vector<RecordId>& ids = by_label_[entity];
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+  }
+  label = std::move(entity);
   return Status::OK();
 }
 
@@ -90,21 +122,26 @@ Result<const TargetEntity*> Dataset::target(const EntityId& id) const {
   return &it->second;
 }
 
-std::vector<RecordId> Dataset::CandidatesFor(const EntityId& id) const {
-  std::vector<RecordId> out;
+const std::vector<RecordId>& Dataset::RecordsNamed(
+    const std::string& name) const {
+  auto it = by_name_.find(name);
+  return it != by_name_.end() ? it->second : NoRecords();
+}
+
+const std::vector<RecordId>& Dataset::CandidatesFor(const EntityId& id) const {
   auto it = targets_.find(id);
-  if (it == targets_.end()) return out;
-  const std::string& name = it->second.clean_profile.name();
-  for (const TemporalRecord& r : records_) {
-    if (r.name() == name) out.push_back(r.id());
-  }
-  return out;
+  if (it == targets_.end()) return NoRecords();
+  return RecordsNamed(it->second.clean_profile.name());
 }
 
 std::vector<RecordId> Dataset::TrueMatchesOf(const EntityId& id) const {
+  if (!id.empty()) {
+    auto it = by_label_.find(id);
+    return it != by_label_.end() ? it->second : std::vector<RecordId>();
+  }
   std::vector<RecordId> out;
   for (RecordId r = 0; r < labels_.size(); ++r) {
-    if (labels_[r] == id) out.push_back(r);
+    if (labels_[r].empty()) out.push_back(r);
   }
   return out;
 }

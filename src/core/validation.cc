@@ -23,6 +23,48 @@ bool HasForeignSeparator(const Value& v) {
   return v.find(kForeignSeparator) != std::string::npos;
 }
 
+/// Re-splits values carrying the foreign separator and trims surrounding
+/// whitespace. Returns false, leaving `repaired` untouched, when nothing
+/// changes.
+bool RepairValues(const ValueSet& values, ValueSet* repaired) {
+  bool changed = false;
+  std::vector<Value> rebuilt;
+  for (const Value& v : values) {
+    std::vector<std::string> parts;
+    if (HasForeignSeparator(v)) {
+      parts = Split(v, kForeignSeparator);
+      changed = true;
+    } else {
+      parts.push_back(v);
+    }
+    for (const std::string& part : parts) {
+      std::string trimmed(StripWhitespace(part));
+      if (trimmed.size() != part.size()) changed = true;
+      if (!trimmed.empty()) rebuilt.push_back(std::move(trimmed));
+    }
+  }
+  if (changed) *repaired = MakeValueSet(std::move(rebuilt));
+  return changed;
+}
+
+/// One cell RepairRecord changes: the attribute and its repaired value set.
+struct RepairedCell {
+  Attribute attribute;
+  ValueSet values;
+};
+
+/// The cells of `record` that RepairRecord changes, in attribute order.
+std::vector<RepairedCell> RepairedCells(const TemporalRecord& record) {
+  std::vector<RepairedCell> out;
+  for (const auto& [attribute, values] : record.values()) {
+    ValueSet repaired;
+    if (RepairValues(values, &repaired)) {
+      out.push_back(RepairedCell{attribute, std::move(repaired)});
+    }
+  }
+  return out;
+}
+
 void AddIssue(ValidationReport* report, IssueCode code, IssueSeverity severity,
               std::string location, std::string detail) {
   report->issues.push_back(ValidationIssue{code, severity, std::move(location),
@@ -206,32 +248,11 @@ void ValidateRecord(const TemporalRecord& record, size_t num_sources,
 }
 
 size_t RepairRecord(TemporalRecord* record) {
-  size_t repairs = 0;
-  // Copy the attribute list first; SetValue mutates the map.
-  for (const Attribute& attribute : record->Attributes()) {
-    const ValueSet& current = record->GetValue(attribute);
-    bool changed = false;
-    std::vector<Value> rebuilt;
-    for (const Value& v : current) {
-      std::vector<std::string> parts;
-      if (HasForeignSeparator(v)) {
-        parts = Split(v, kForeignSeparator);
-        changed = true;
-      } else {
-        parts.push_back(v);
-      }
-      for (const std::string& part : parts) {
-        std::string trimmed(StripWhitespace(part));
-        if (trimmed.size() != part.size()) changed = true;
-        if (!trimmed.empty()) rebuilt.push_back(std::move(trimmed));
-      }
-    }
-    if (changed) {
-      record->SetValue(attribute, MakeValueSet(std::move(rebuilt)));
-      ++repairs;
-    }
+  std::vector<RepairedCell> cells = RepairedCells(*record);
+  for (RepairedCell& cell : cells) {
+    record->SetValue(cell.attribute, std::move(cell.values));
   }
-  return repairs;
+  return cells.size();
 }
 
 void ValidateProfile(const EntityProfile& profile, const std::string& location,
@@ -302,26 +323,7 @@ size_t RepairProfile(EntityProfile* profile) {
         std::swap(fixed.interval.begin, fixed.interval.end);
         changed = true;
       }
-      std::vector<Value> rebuilt;
-      bool values_changed = false;
-      for (const Value& v : fixed.values) {
-        std::vector<std::string> parts;
-        if (HasForeignSeparator(v)) {
-          parts = Split(v, kForeignSeparator);
-          values_changed = true;
-        } else {
-          parts.push_back(v);
-        }
-        for (const std::string& part : parts) {
-          std::string trimmed(StripWhitespace(part));
-          if (trimmed.size() != part.size()) values_changed = true;
-          if (!trimmed.empty()) rebuilt.push_back(std::move(trimmed));
-        }
-      }
-      if (values_changed) {
-        fixed.values = MakeValueSet(std::move(rebuilt));
-        changed = true;
-      }
+      if (RepairValues(tr.values, &fixed.values)) changed = true;
       if (fixed.values.empty()) {
         changed = true;  // Drop value-less triples entirely.
         continue;
@@ -416,12 +418,15 @@ ValidationReport ValidateDataset(Dataset* dataset,
   }
 
   if (options.policy == RepairPolicy::kRepair) {
+    // to_quarantine is ascending: it was filled in record order.
     for (RecordId id = 0; id < dataset->NumRecords(); ++id) {
-      if (std::find(to_quarantine.begin(), to_quarantine.end(), id) !=
-          to_quarantine.end()) {
+      if (std::binary_search(to_quarantine.begin(), to_quarantine.end(), id)) {
         continue;
       }
-      report.repairs_applied += RepairRecord(dataset->mutable_record(id));
+      for (RepairedCell& cell : RepairedCells(dataset->record(id))) {
+        dataset->SetRecordValue(id, cell.attribute, std::move(cell.values));
+        ++report.repairs_applied;
+      }
     }
   }
 

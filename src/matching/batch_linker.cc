@@ -52,11 +52,13 @@ BatchLinkResult BatchLinker::LinkAll(
   const auto link_one = [&](size_t i) {
     auto target = dataset.target(targets[i]);
     if (!target.ok()) return;
+    const EntityProfile& profile = (*target)->clean_profile;
+    // CandidatesFor's bucket, without a second target lookup.
+    const std::vector<RecordId>& ids = dataset.RecordsNamed(profile.name());
     std::vector<const TemporalRecord*> candidates;
-    for (RecordId rid : dataset.CandidatesFor(targets[i])) {
-      candidates.push_back(&dataset.record(rid));
-    }
-    linked[i].link = maroon_->Link((*target)->clean_profile, candidates);
+    candidates.reserve(ids.size());
+    for (RecordId rid : ids) candidates.push_back(&dataset.record(rid));
+    linked[i].link = maroon_->Link(profile, candidates);
     linked[i].linked = true;
   };
   if (width <= 1) {

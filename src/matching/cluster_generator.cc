@@ -75,10 +75,9 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
   // Lines 8-19: place stale records. Processed in (timestamp, id) order for
   // determinism; each record may land in several clusters, one per attribute
   // whose delayed value plausibly describes that cluster's period (Eq. 10).
-  obs::Counter* placements_accepted =
-      MAROON_COUNTER("maroon.phase1.stale_placements_accepted");
-  obs::Counter* placements_rejected =
-      MAROON_COUNTER("maroon.phase1.stale_placements_rejected");
+  // Placement decisions are tallied here and published once per call.
+  int64_t placements_accepted = 0;
+  int64_t placements_rejected = 0;
   std::vector<const TemporalRecord*> ordered_stale = stale;
   std::stable_sort(ordered_stale.begin(), ordered_stale.end(),
                    [](const TemporalRecord* a, const TemporalRecord* b) {
@@ -100,7 +99,7 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
               0, static_cast<int64_t>(r->timestamp()) - span.end);
           if (DelayProbability(eta, r->source(), attribute) <=
               options_.mu_prime) {
-            placements_rejected->Add();
+            ++placements_rejected;
             continue;  // Eq. 10 fails.
           }
           const ValueSet& cluster_values = gc.signature.ValuesOf(attribute);
@@ -110,7 +109,7 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
             continue;  // line 14: c.A !~ r.A
           }
           gc.cluster.AddForAttribute(*r, attribute);  // line 15
-          placements_accepted->Add();
+          ++placements_accepted;
           covered.insert(attribute);  // line 16
         }
       }
@@ -153,6 +152,10 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
     }
   }
   ComputeConfidences(records, clusters);
+  MAROON_COUNTER("maroon.phase1.stale_placements_accepted")
+      ->Add(placements_accepted);
+  MAROON_COUNTER("maroon.phase1.stale_placements_rejected")
+      ->Add(placements_rejected);
   MAROON_COUNTER("maroon.phase1.similarity_memo_hits")->Add(memo.hits());
   MAROON_COUNTER("maroon.phase1.similarity_memo_misses")->Add(memo.misses());
   MAROON_COUNTER("maroon.phase1.clusters_formed")

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
+#include "datagen/recruitment_generator.h"
+#include "eval/experiment.h"
+#include "matching/batch_linker.h"
+#include "matching/maroon.h"
+#include "obs/metrics.h"
 #include "testing/paper_example.h"
 
 namespace maroon {
@@ -136,6 +143,53 @@ TEST_F(ClusterGeneratorExampleTest, HigherMuPrimeBlocksStalePlacement) {
   const auto r3_clusters = ClustersContaining(clusters, 2);
   ASSERT_EQ(r3_clusters.size(), 1u);
   EXPECT_EQ(clusters[r3_clusters[0]].cluster.size(), 1u);
+}
+
+/// Stale-placement counter deltas across `run`.
+std::pair<int64_t, int64_t> PlacementDeltas(const std::function<void()>& run) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* accepted =
+      registry.GetCounter("maroon.phase1.stale_placements_accepted");
+  obs::Counter* rejected =
+      registry.GetCounter("maroon.phase1.stale_placements_rejected");
+  const int64_t accepted_before = accepted->value();
+  const int64_t rejected_before = rejected->value();
+  run();
+  return {accepted->value() - accepted_before,
+          rejected->value() - rejected_before};
+}
+
+// Golden totals, printed by the build that still added each placement to the
+// registry as it happened: one event per Eq. 10 decision, however the counts
+// are batched on their way to the registry.
+TEST_F(ClusterGeneratorExampleTest, StalePlacementCountsArePinned) {
+  const auto [accepted, rejected] = PlacementDeltas([&] { Generate(); });
+  EXPECT_EQ(accepted, 3);
+  EXPECT_EQ(rejected, 11);
+}
+
+TEST(ClusterGeneratorCounterTest, WidthTwoLinkAllPlacementCountsArePinned) {
+  RecruitmentOptions options;
+  options.seed = 7;
+  options.num_entities = 120;
+  options.num_names = 40;
+  const Dataset dataset = GenerateRecruitmentDataset(options);
+  Experiment experiment(&dataset, ExperimentOptions{});
+  experiment.Prepare();
+  const Maroon maroon(&experiment.transition_model(),
+                      &experiment.freshness_model(), &experiment.similarity(),
+                      dataset.attributes(), MaroonOptions{});
+  std::vector<EntityId> targets;
+  for (const auto& [id, target] : dataset.targets()) targets.push_back(id);
+  BatchLinkOptions link_options;
+  link_options.threads = 2;
+  const auto [accepted, rejected] = PlacementDeltas([&] {
+    const BatchLinkResult result =
+        BatchLinker(&maroon, link_options).LinkAll(dataset, targets);
+    EXPECT_EQ(result.per_entity.size(), targets.size());
+  });
+  EXPECT_EQ(accepted, 4038);
+  EXPECT_EQ(rejected, 47733);
 }
 
 }  // namespace
