@@ -53,22 +53,17 @@ void BM_SequenceValuesAt(benchmark::State& state) {
 }
 BENCHMARK(BM_SequenceValuesAt);
 
-TransitionModel TrainedModel(const Dataset& dataset, bool cache) {
+TransitionModel TrainedModel(const Dataset& dataset) {
   ProfileSet profiles;
   for (const auto& [id, target] : dataset.targets()) {
     profiles.push_back(target.ground_truth);
   }
-  TransitionModelOptions options;
-  options.cache_probabilities = cache;
-  return TransitionModel::Train(profiles, dataset.attributes(), options);
+  return TransitionModel::Train(profiles, dataset.attributes());
 }
 
-// Arg 1 keeps the probability cache on, so every iteration after the first
-// is a cache hit; Arg 0 turns it off and times Eq. 1-8 on every call.
 void BM_IntervalProbability(benchmark::State& state) {
-  const TransitionModel model = TrainedModel(
-      GenerateRecruitmentDataset(BenchRecruitmentOptions()),
-      state.range(0) != 0);
+  const TransitionModel model =
+      TrainedModel(GenerateRecruitmentDataset(BenchRecruitmentOptions()));
   const ValueSet from = MakeValueSet({"Manager"});
   const ValueSet to = MakeValueSet({"Director"});
   for (auto _ : state) {
@@ -76,14 +71,14 @@ void BM_IntervalProbability(benchmark::State& state) {
         kAttrTitle, from, to, Interval(2000, 2008), Interval(2010, 2012)));
   }
 }
-BENCHMARK(BM_IntervalProbability)->Arg(1)->Arg(0);
+BENCHMARK(BM_IntervalProbability);
 
 // Multi-valued DBLP coauthor sets, each with one name outside the trained
 // vocabulary, so every smoothing case and the case-4 string comparison of
-// two unseen values run. Arg as above.
+// two unseen values run.
 void BM_IntervalProbabilityDblp(benchmark::State& state) {
   const Dataset dataset = GenerateDblpCorpus(BenchDblpOptions()).dataset;
-  const TransitionModel model = TrainedModel(dataset, state.range(0) != 0);
+  const TransitionModel model = TrainedModel(dataset);
   ValueSet from, to;
   Interval from_interval, to_interval;
   for (const auto& [id, target] : dataset.targets()) {
@@ -105,7 +100,7 @@ void BM_IntervalProbabilityDblp(benchmark::State& state) {
   state.counters["to_values"] =
       benchmark::Counter(static_cast<double>(to.size()));
 }
-BENCHMARK(BM_IntervalProbabilityDblp)->Arg(1)->Arg(0);
+BENCHMARK(BM_IntervalProbabilityDblp);
 
 // One target's candidate block out of a ~1e5-record Recruitment corpus
 // (5,700 entities over 1,900 names, the shape of perfbench's

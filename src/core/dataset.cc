@@ -21,14 +21,10 @@ SourceId Dataset::AddSource(std::string name) {
 }
 
 RecordId Dataset::AddRecord(TemporalRecord record) {
-  RecordId id = static_cast<RecordId>(records_.size());
-  TemporalRecord stored(id, record.name(), record.timestamp(),
-                        record.source());
-  for (const auto& [attr, vs] : record.values()) {
-    stored.SetValue(attr, vs);
-  }
-  by_name_[stored.name()].push_back(id);
-  records_.push_back(std::move(stored));
+  const RecordId id = static_cast<RecordId>(records_.size());
+  record.id_ = id;
+  by_name_[record.name()].push_back(id);
+  records_.push_back(std::move(record));
   labels_.emplace_back();
   return id;
 }
@@ -58,14 +54,8 @@ size_t Dataset::EraseRecords(const std::vector<RecordId>& ids) {
   kept_labels.reserve(records_.size() - erased);
   for (size_t i = 0; i < records_.size(); ++i) {
     if (drop[i]) continue;
-    TemporalRecord record = std::move(records_[i]);
-    TemporalRecord renumbered(static_cast<RecordId>(kept_records.size()),
-                              record.name(), record.timestamp(),
-                              record.source());
-    for (const auto& [attr, vs] : record.values()) {
-      renumbered.SetValue(attr, vs);
-    }
-    kept_records.push_back(std::move(renumbered));
+    records_[i].id_ = static_cast<RecordId>(kept_records.size());
+    kept_records.push_back(std::move(records_[i]));
     kept_labels.push_back(std::move(labels_[i]));
   }
   records_ = std::move(kept_records);

@@ -62,6 +62,9 @@ class TemporalRecord {
   std::string ToString() const;
 
  private:
+  /// Stamps the id of a record it stores or renumbers.
+  friend class Dataset;
+
   RecordId id_ = 0;
   std::string name_;
   std::map<Attribute, ValueSet> values_;

@@ -25,7 +25,6 @@ bool RelaxedAllowlisted(const std::string& guard_path) {
       "src/obs/metrics.",         // Counter/Gauge cells
       "src/obs/histogram.",       // striped bucket counters
       "src/obs/trace.",           // span sequence numbers
-      "src/transition/transition_table.",  // cache-salt counter
   };
   for (const char* prefix : kRelaxedAllowlist) {
     if (StartsWith(guard_path, prefix)) return true;

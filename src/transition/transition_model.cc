@@ -190,9 +190,6 @@ TransitionModel TransitionModel::Train(
   MAROON_COUNTER("maroon.transition.attributes_trained")
       ->Add(static_cast<int64_t>(attributes.size()));
   MAROON_COUNTER("maroon.transition.delta_observations")->Add(observations);
-  if (model.options_.cache_probabilities) {
-    model.cache_ = std::make_shared<TransitionProbabilityCache>();
-  }
   return model;
 }
 
@@ -215,8 +212,6 @@ struct TransitionModel::LookupTally {
   int64_t case2 = 0;
   int64_t case3 = 0;
   int64_t case4 = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
 
   /// Adds each nonzero count to its counter once.
   void Publish() const {
@@ -229,8 +224,6 @@ struct TransitionModel::LookupTally {
             case2);
     publish(MAROON_COUNTER("maroon.transition.case3_unseen_origin"), case3);
     publish(MAROON_COUNTER("maroon.transition.case4_both_unseen"), case4);
-    publish(MAROON_COUNTER("maroon.transition.cache_hits"), cache_hits);
-    publish(MAROON_COUNTER("maroon.transition.cache_misses"), cache_misses);
   }
 };
 
@@ -334,35 +327,6 @@ double TransitionModel::SetProbabilityImpl(
   return total / static_cast<double>(to.size());
 }
 
-SetFingerprint TransitionModel::FingerprintOf(
-    const AttributeModel& am, const std::vector<MappedValue>& set) {
-  SetFingerprintBuilder fp;
-  for (const MappedValue& mv : set) {
-    fp.Add(mv.id != kNoValueId ? std::string_view(am.dictionary->value(mv.id))
-                               : std::string_view(mv.unknown),
-           mv.frequent);
-  }
-  return fp.fingerprint();
-}
-
-double TransitionModel::CachedSetProbability(
-    const TransitionTable* table, const std::vector<MappedValue>& from,
-    const std::vector<MappedValue>& to, const SetFingerprint& from_fp,
-    const SetFingerprint& to_fp, LookupTally* tally) const {
-  if (cache_ == nullptr || table == nullptr || table->empty()) {
-    return SetProbabilityImpl(table, from, to, tally);
-  }
-  double value = 0.0;
-  if (cache_->Lookup(table->cache_salt(), from_fp, to_fp, &value)) {
-    ++tally->cache_hits;
-    return value;
-  }
-  ++tally->cache_misses;
-  value = SetProbabilityImpl(table, from, to, tally);
-  cache_->Put(table->cache_salt(), from_fp, to_fp, value);
-  return value;
-}
-
 double TransitionModel::SetProbability(const Attribute& attribute,
                                        const ValueSet& from,
                                        const ValueSet& to,
@@ -376,13 +340,8 @@ double TransitionModel::SetProbability(const Attribute& attribute,
   const std::vector<MappedValue> mapped_from = MapSet(am, attribute, from);
   const std::vector<MappedValue> mapped_to = MapSet(am, attribute, to);
   LookupTally tally;
-  const double probability =
-      cache_ == nullptr
-          ? SetProbabilityImpl(ResolveTable(am, delta), mapped_from,
-                               mapped_to, &tally)
-          : CachedSetProbability(ResolveTable(am, delta), mapped_from,
-                                 mapped_to, FingerprintOf(am, mapped_from),
-                                 FingerprintOf(am, mapped_to), &tally);
+  const double probability = SetProbabilityImpl(
+      ResolveTable(am, delta), mapped_from, mapped_to, &tally);
   tally.Publish();
   return probability;
 }
@@ -398,15 +357,9 @@ double TransitionModel::IntervalProbability(const Attribute& attribute,
   if (attr_it == attributes_.end()) return 0.0;
   const AttributeModel& am = attr_it->second;
   // Resolve the attribute state once; the delta loops below only pick the
-  // per-delta table. Fingerprints are likewise computed once and reused for
-  // every delta (the backward terms swap them along with the sets).
+  // per-delta table.
   const std::vector<MappedValue> mapped_from = MapSet(am, attribute, from);
   const std::vector<MappedValue> mapped_to = MapSet(am, attribute, to);
-  SetFingerprint from_fp, to_fp;
-  if (cache_ != nullptr) {
-    from_fp = FingerprintOf(am, mapped_from);
-    to_fp = FingerprintOf(am, mapped_to);
-  }
   LookupTally tally;
 
   const int64_t pair_count = from_interval.Length() * to_interval.Length();
@@ -426,8 +379,8 @@ double TransitionModel::IntervalProbability(const Attribute& attribute,
       const int64_t multiplicity = hi - lo + 1;
       if (multiplicity <= 0) continue;
       total += static_cast<double>(multiplicity) *
-               CachedSetProbability(ResolveTable(am, d), mapped_from,
-                                    mapped_to, from_fp, to_fp, &tally);
+               SetProbabilityImpl(ResolveTable(am, d), mapped_from, mapped_to,
+                                  &tally);
     }
   }
   // Backward terms: t' < t with gap g, contributing Pr(V', V, g) per Eq. 13.
@@ -444,8 +397,8 @@ double TransitionModel::IntervalProbability(const Attribute& attribute,
       const int64_t multiplicity = hi - lo + 1;
       if (multiplicity <= 0) continue;
       total += static_cast<double>(multiplicity) *
-               CachedSetProbability(ResolveTable(am, g), mapped_to,
-                                    mapped_from, to_fp, from_fp, &tally);
+               SetProbabilityImpl(ResolveTable(am, g), mapped_to, mapped_from,
+                                  &tally);
     }
   }
   if (options_.include_zero_delta_terms && from_interval.Overlaps(to_interval)) {
@@ -646,9 +599,6 @@ Result<TransitionModel> TransitionModel::Deserialize(
       am.tables.emplace(delta,
                         TransitionTable(am.dictionary, std::move(counts)));
     }
-  }
-  if (model.options_.cache_probabilities) {
-    model.cache_ = std::make_shared<TransitionProbabilityCache>();
   }
   return model;
 }

@@ -13,7 +13,6 @@
 #include "core/temporal_sequence.h"
 #include "core/time_types.h"
 #include "core/value.h"
-#include "transition/transition_cache.h"
 #include "transition/transition_table.h"
 #include "transition/value_mapper.h"
 
@@ -42,16 +41,6 @@ struct TransitionModelOptions {
   /// leaving dense-table behaviour close to the paper's. Disable for the
   /// literal formulas.
   bool cap_unseen_by_support = true;
-
-  /// Memoizes Eq. 12 set probabilities in a lock-free cache keyed on the
-  /// resolved transition table and the 128-bit fingerprints of the mapped
-  /// value sets. Eq. 13-14 re-evaluate the same (table, from, to) triple for
-  /// every Δt that clamps to the same table and for every repeated candidate
-  /// state, so hits dominate on real corpora. Results are exact modulo a
-  /// 128-bit fingerprint collision (cryptographically unlikely); disable for
-  /// the literal recomputation path. Not serialized: the cache is a runtime
-  /// accelerator, not model state.
-  bool cache_probabilities = true;
 
   /// Optional value generalization applied before counting and querying;
   /// nullptr = identity.
@@ -152,13 +141,12 @@ class TransitionModel {
     ValueId id = kNoValueId;
     bool frequent = false;
     /// The mapped value when it is outside the vocabulary (id ==
-    /// kNoValueId): Eq. 6 and the cache fingerprint tell such values apart
-    /// by it.
+    /// kNoValueId): Eq. 6 tells such values apart by it.
     Value unknown;
   };
 
-  /// Per-call counts of the smoothing cases and cache outcomes, published to
-  /// the metrics registry once per query.
+  /// Per-call counts of the smoothing cases, published to the metrics
+  /// registry once per query.
   struct LookupTally;
 
   /// Maps a whole set for `attribute` under `am` (parallel to the input;
@@ -177,22 +165,6 @@ class TransitionModel {
                             const std::vector<MappedValue>& to,
                             LookupTally* tally) const;
 
-  /// Fingerprints a mapped set in its canonical order (MapSet preserves the
-  /// input ValueSet order, which is already sorted).
-  static SetFingerprint FingerprintOf(const AttributeModel& am,
-                                      const std::vector<MappedValue>& set);
-
-  /// SetProbabilityImpl behind the probability cache (when enabled).
-  /// `from_fp`/`to_fp` must be the fingerprints of `from`/`to` — callers
-  /// compute them once per interval query and reuse them across deltas
-  /// (backward Eq. 13 terms pass the same pair swapped).
-  double CachedSetProbability(const TransitionTable* table,
-                              const std::vector<MappedValue>& from,
-                              const std::vector<MappedValue>& to,
-                              const SetFingerprint& from_fp,
-                              const SetFingerprint& to_fp,
-                              LookupTally* tally) const;
-
   /// Clamps Δt per Eq. 2 and picks the nearest available table at or below
   /// it (or the smallest table above, if none below exists).
   const TransitionTable* ResolveTable(const AttributeModel& model,
@@ -200,10 +172,6 @@ class TransitionModel {
 
   std::map<Attribute, AttributeModel> attributes_;
   TransitionModelOptions options_;
-  /// Shared so copies of a model reuse one memo table; nullptr when
-  /// options_.cache_probabilities is false. The cache only ever stores
-  /// deterministic recomputable values, so sharing across threads is safe.
-  std::shared_ptr<TransitionProbabilityCache> cache_;
 };
 
 }  // namespace maroon

@@ -1,21 +1,12 @@
 #include "transition/transition_table.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.h"
 
 namespace maroon {
 
 namespace {
-
-/// Each build takes the next id; salts are unique across all tables in the
-/// process, so a cache entry keyed on one can never alias another table's
-/// (or a stale generation of the same table's) probabilities.
-uint64_t NextCacheSalt() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 ValueId FromOf(TransitionTable::PackedPair key) {
   return static_cast<ValueId>(key >> 32);
@@ -80,7 +71,6 @@ void TransitionTable::Finalize() {
 
 void TransitionTable::Build(
     std::vector<std::pair<PackedPair, int64_t>> counts) {
-  cache_salt_ = NextCacheSalt();
   std::sort(counts.begin(), counts.end());
   // Sum duplicate pairs in place.
   size_t unique = 0;

@@ -79,8 +79,8 @@ class TransitionTable {
   void Add(const Value& from, const Value& to, int64_t count);
 
   /// Folds staged Add() calls into the table over a fresh dictionary of its
-  /// values and stamps a new cache_salt(). Must be called after the last Add
-  /// and before any probability query.
+  /// values. Must be called after the last Add and before any probability
+  /// query.
   void Finalize();
 
   /// T_Δt[(from, to)]; 0 if unseen.
@@ -156,11 +156,6 @@ class TransitionTable {
   /// tests.
   std::vector<std::tuple<Value, Value, int64_t>> Entries() const;
 
-  /// Process-unique id stamped whenever the counts are (re)built, 0 before.
-  /// The transition-probability cache keys entries on it, so re-finalizing a
-  /// mutated table invalidates cached probabilities computed against it.
-  uint64_t cache_salt() const { return cache_salt_; }
-
  private:
   ValueId Find(const Value& value) const {
     return dictionary_ != nullptr ? dictionary_->Find(value) : kNoValueId;
@@ -182,7 +177,6 @@ class TransitionTable {
   int64_t total_ = 0;
   int64_t self_total_ = 0;
   double case4_diff_probability_ = 0.0;
-  uint64_t cache_salt_ = 0;
   /// Add() calls not yet folded in by Finalize().
   std::vector<std::tuple<Value, Value, int64_t>> staged_;
 };

@@ -246,6 +246,9 @@ TEST(LintRuleTest, R014AllowlistCoversCounterFiles) {
   EXPECT_TRUE(LintConcurrency("tests/obs/scratch_test.cc", content).empty());
   EXPECT_EQ(LintConcurrency("src/core/scratch.cc", content).size(), 1u);
   EXPECT_EQ(
+      LintConcurrency("src/transition/transition_table.cc", content).size(),
+      1u);
+  EXPECT_EQ(
       LintConcurrency("tests/lint/testdata/scratch.cc", content).size(), 1u);
 }
 

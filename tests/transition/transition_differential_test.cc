@@ -324,7 +324,6 @@ struct DifferentialCase {
   bool mapper;
   bool cap_unseen_by_support;
   bool include_zero_delta_terms;
-  bool cache_probabilities;
   int64_t min_value_frequency;
 };
 
@@ -335,8 +334,9 @@ std::string CaseName(
          (c.mapper ? "Mapped" : "Raw") +
          (c.cap_unseen_by_support ? "Cap" : "") +
          (c.include_zero_delta_terms ? "Zero" : "") +
-         (c.cache_probabilities ? "Cached" : "Uncached") + "MinFreq" +
-         std::to_string(c.min_value_frequency);
+         // "Uncached" keeps the case names stable across the removal of the
+         // transition-probability memo, which once doubled this grid.
+         "UncachedMinFreq" + std::to_string(c.min_value_frequency);
 }
 
 std::vector<DifferentialCase> AllCases() {
@@ -345,11 +345,9 @@ std::vector<DifferentialCase> AllCases() {
     for (bool mapper : {false, true}) {
       for (bool cap : {false, true}) {
         for (bool zero : {false, true}) {
-          for (bool cache : {false, true}) {
-            // min_value_frequency 6 sends the rarer values to case 4.
-            for (int64_t min_frequency : {1, 6}) {
-              cases.push_back({dblp, mapper, cap, zero, cache, min_frequency});
-            }
+          // min_value_frequency 6 sends the rarer values to case 4.
+          for (int64_t min_frequency : {1, 6}) {
+            cases.push_back({dblp, mapper, cap, zero, min_frequency});
           }
         }
       }
@@ -367,7 +365,6 @@ TEST_P(TransitionDifferentialTest, EqualsStringKeyedReference) {
   TransitionModelOptions options;
   options.cap_unseen_by_support = c.cap_unseen_by_support;
   options.include_zero_delta_terms = c.include_zero_delta_terms;
-  options.cache_probabilities = c.cache_probabilities;
   options.min_value_frequency = c.min_value_frequency;
   if (c.mapper) options.mapper = MakeMapper(corpus);
   const TransitionModel model = TransitionModel::Train(
@@ -391,19 +388,16 @@ TEST_P(TransitionDifferentialTest, EqualsStringKeyedReference) {
   ASSERT_GT(queries.size(), 50u);
   for (const Query& q : queries) {
     const ReferenceModel& ref = references.at(q.attribute);
-    // Twice, so a cached model answers the second pass from its cache.
-    for (int pass = 0; pass < 2; ++pass) {
-      EXPECT_EQ(model.IntervalProbability(q.attribute, q.from, q.to,
-                                          q.from_interval, q.to_interval),
-                ref.IntervalProbability(q.from, q.to, q.from_interval,
-                                        q.to_interval));
-      for (int64_t delta : {0, 1, 2, 3, 5, 8, 40}) {
-        EXPECT_EQ(model.SetProbability(q.attribute, q.from, q.to, delta),
-                  ref.SetProbability(q.from, q.to, delta));
-        EXPECT_EQ(model.Probability(q.attribute, q.from.front(),
-                                    q.to.back(), delta),
-                  ref.Probability(q.from.front(), q.to.back(), delta));
-      }
+    EXPECT_EQ(model.IntervalProbability(q.attribute, q.from, q.to,
+                                        q.from_interval, q.to_interval),
+              ref.IntervalProbability(q.from, q.to, q.from_interval,
+                                      q.to_interval));
+    for (int64_t delta : {0, 1, 2, 3, 5, 8, 40}) {
+      EXPECT_EQ(model.SetProbability(q.attribute, q.from, q.to, delta),
+                ref.SetProbability(q.from, q.to, delta));
+      EXPECT_EQ(model.Probability(q.attribute, q.from.front(), q.to.back(),
+                                  delta),
+                ref.Probability(q.from.front(), q.to.back(), delta));
     }
   }
 }
@@ -411,28 +405,26 @@ TEST_P(TransitionDifferentialTest, EqualsStringKeyedReference) {
 INSTANTIATE_TEST_SUITE_P(AllOptions, TransitionDifferentialTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
 
-// Many threads sharing one model (and so one probability cache) answer
-// exactly what one thread does.
-TEST(TransitionCacheModelDifferentialTest, EightThreadQueriesEqualSerial) {
+// Many threads sharing one trained model answer exactly what one thread
+// does.
+TEST(TransitionModelThreadsTest, EightThreadQueriesEqualSerial) {
   for (bool dblp : {false, true}) {
     const Corpus corpus = MakeCorpus(dblp);
     const std::vector<Query> queries = MakeQueries(corpus);
-    const TransitionModel serial =
+    const TransitionModel model =
         TransitionModel::Train(corpus.training, corpus.dataset.attributes());
     std::vector<double> expected;
     for (const Query& q : queries) {
-      expected.push_back(serial.IntervalProbability(
+      expected.push_back(model.IntervalProbability(
           q.attribute, q.from, q.to, q.from_interval, q.to_interval));
     }
 
-    const TransitionModel shared =
-        TransitionModel::Train(corpus.training, corpus.dataset.attributes());
     std::vector<double> got(4 * queries.size(), -1.0);
     ThreadPool::Shared(8)->ParallelFor(
         got.size(), 8, [&](int /*strand*/, size_t i) {
           const Query& q = queries[i % queries.size()];
-          got[i] = shared.IntervalProbability(q.attribute, q.from, q.to,
-                                              q.from_interval, q.to_interval);
+          got[i] = model.IntervalProbability(q.attribute, q.from, q.to,
+                                             q.from_interval, q.to_interval);
         });
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], expected[i % queries.size()]) << "query " << i;
@@ -443,7 +435,7 @@ TEST(TransitionCacheModelDifferentialTest, EightThreadQueriesEqualSerial) {
 // --------------------------------------------------------------- counters
 
 /// A fixed query set over the running example's careers: exact hits, every
-/// smoothing case, and repeated set and interval queries that hit the cache.
+/// smoothing case, and repeated set and interval queries.
 void RunFixedQueries(const TransitionModel& model) {
   const Attribute& title = testing::kTitle;
   for (int64_t delta : {1, 3, 7}) {
@@ -466,16 +458,14 @@ void RunFixedQueries(const TransitionModel& model) {
 }
 
 TEST(TransitionCounterTest, FixedQueriesPublishPinnedCounterDeltas) {
-  // Golden deltas: each counter counts one event per table lookup or cache
-  // probe, however the counts are batched on their way to the registry.
+  // Golden deltas: each counter counts one event per table lookup, however
+  // the counts are batched on their way to the registry.
   const std::vector<std::pair<std::string, int64_t>> pinned = {
-      {"maroon.transition.case_exact", 14},
-      {"maroon.transition.case1_unseen_pair", 16},
-      {"maroon.transition.case2_unseen_destination", 18},
-      {"maroon.transition.case3_unseen_origin", 24},
-      {"maroon.transition.case4_both_unseen", 18},
-      {"maroon.transition.cache_hits", 20},
-      {"maroon.transition.cache_misses", 12},
+      {"maroon.transition.case_exact", 33},
+      {"maroon.transition.case1_unseen_pair", 37},
+      {"maroon.transition.case2_unseen_destination", 41},
+      {"maroon.transition.case3_unseen_origin", 61},
+      {"maroon.transition.case4_both_unseen", 38},
   };
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const TransitionModel model = TransitionModel::Train(

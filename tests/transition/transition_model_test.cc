@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "common/thread_pool.h"
+
 namespace maroon {
 namespace {
 
@@ -313,6 +315,21 @@ TEST(TransitionModelTest, PromotionMoreLikelyThanDemotionAfterYears) {
       model.Probability(kTitle, "Manager", "IT Contractor", 8);
   EXPECT_GT(to_director, to_contractor);
   EXPECT_GT(to_director, 0.2);
+}
+
+TEST(TransitionModelThreadsTest, ShardedTrainingMatchesSerialSerialization) {
+  // The serialized model is a total, canonical rendering of the learnt
+  // state; byte equality proves 1-thread and 8-thread training build
+  // identical tables, frequencies, and lifespans.
+  ProfileSet profiles = Figure1Profiles();
+  profiles.push_back(MakeTitleProfile("Ann", {{2001, 2004, "Analyst"},
+                                              {2005, 2008, "Director"}}));
+  ThreadPool::SetDefaultThreadCount(1);
+  const TransitionModel serial = TransitionModel::Train(profiles, {kTitle});
+  ThreadPool::SetDefaultThreadCount(8);
+  const TransitionModel sharded = TransitionModel::Train(profiles, {kTitle});
+  ThreadPool::SetDefaultThreadCount(1);
+  EXPECT_EQ(serial.Serialize(), sharded.Serialize());
 }
 
 }  // namespace
