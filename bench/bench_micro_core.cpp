@@ -7,6 +7,7 @@
 
 #include "bench_common.h"
 #include "freshness/freshness_model.h"
+#include "matching/cluster_generator.h"
 #include "matching/maroon.h"
 #include "similarity/record_similarity.h"
 #include "similarity/string_metrics.h"
@@ -23,6 +24,30 @@ void BM_JaroWinkler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JaroWinkler);
+
+// Corpus-shaped values average 11-21 bytes; this ~21-byte affiliation pair
+// takes JaroSimilarity's bit-parallel path.
+void BM_JaroWinklerAffiliation(benchmark::State& state) {
+  const std::string a = "University of Toronto";
+  const std::string b = "University of Trento";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(JaroWinklerSimilarity(a, b));
+  }
+}
+BENCHMARK(BM_JaroWinklerAffiliation);
+
+// A second string over 64 bytes takes the general matching loop.
+void BM_JaroWinklerLong(benchmark::State& state) {
+  const std::string a =
+      "Department of Computer Science, University of Illinois at Urbana";
+  const std::string b =
+      "Dept. of Computer Science, University of Illinois Urbana-Champaign, IL";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(JaroWinklerSimilarity(a, b));
+  }
+  state.counters["b_bytes"] = benchmark::Counter(static_cast<double>(b.size()));
+}
+BENCHMARK(BM_JaroWinklerLong);
 
 void BM_TfIdfCosine(benchmark::State& state) {
   TfIdfModel model;
@@ -188,6 +213,31 @@ void BM_SingleEntityLinkDblp(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(candidates.size()));
 }
 BENCHMARK(BM_SingleEntityLinkDblp)->Unit(benchmark::kMicrosecond);
+
+// Phase I alone (Algorithm 2: PARTITION, stale placement, Eq. 11) on the
+// DBLP name block above; its similarity memo starts empty on every call.
+void BM_PhaseIGenerateDblp(benchmark::State& state) {
+  const Dataset dataset = GenerateDblpCorpus(BenchDblpOptions()).dataset;
+  Experiment experiment(&dataset);
+  experiment.Prepare();
+  const ClusterGenerator generator(&experiment.similarity(),
+                                   &experiment.freshness_model(),
+                                   dataset.attributes());
+  std::vector<const TemporalRecord*> candidates;
+  for (RecordId id : dataset.CandidatesFor(dataset.targets().begin()->first)) {
+    candidates.push_back(&dataset.record(id));
+  }
+  size_t clusters = 0;
+  for (auto _ : state) {
+    clusters = generator.Generate(candidates).size();
+    benchmark::DoNotOptimize(clusters);
+  }
+  state.counters["candidates"] =
+      benchmark::Counter(static_cast<double>(candidates.size()));
+  state.counters["clusters"] =
+      benchmark::Counter(static_cast<double>(clusters));
+}
+BENCHMARK(BM_PhaseIGenerateDblp)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace maroon::bench

@@ -151,7 +151,7 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
       }
     }
   }
-  ComputeConfidences(records, clusters);
+  ComputeConfidences(by_id, clusters);
   MAROON_COUNTER("maroon.phase1.stale_placements_accepted")
       ->Add(placements_accepted);
   MAROON_COUNTER("maroon.phase1.stale_placements_rejected")
@@ -164,11 +164,8 @@ std::vector<GeneratedCluster> ClusterGenerator::Generate(
 }
 
 void ClusterGenerator::ComputeConfidences(
-    const std::vector<const TemporalRecord*>& records,
+    const std::map<RecordId, const TemporalRecord*>& by_id,
     std::vector<GeneratedCluster>& clusters) const {
-  std::map<RecordId, const TemporalRecord*> by_id;
-  for (const TemporalRecord* r : records) by_id[r->id()] = r;
-
   for (GeneratedCluster& gc : clusters) {
     // Group member records by source.
     std::map<SourceId, std::vector<const TemporalRecord*>> by_source;

@@ -1,6 +1,7 @@
 #ifndef MAROON_MATCHING_CLUSTER_GENERATOR_H_
 #define MAROON_MATCHING_CLUSTER_GENERATOR_H_
 
+#include <map>
 #include <vector>
 
 #include "clustering/cluster.h"
@@ -79,8 +80,9 @@ class ClusterGenerator {
   bool SourceIsFresh(SourceId source) const;
   double DelayProbability(int64_t eta, SourceId source,
                           const Attribute& attribute) const;
+  /// Eq. 11 for every cluster; `by_id` maps each input record's id to it.
   void ComputeConfidences(
-      const std::vector<const TemporalRecord*>& records,
+      const std::map<RecordId, const TemporalRecord*>& by_id,
       std::vector<GeneratedCluster>& clusters) const;
 
   const SimilarityCalculator* similarity_;

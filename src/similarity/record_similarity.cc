@@ -1,7 +1,9 @@
 #include "similarity/record_similarity.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "common/float_compare.h"
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "similarity/string_metrics.h"
@@ -68,6 +70,20 @@ double SimilarityCalculator::RecordSimilarity(const TemporalRecord& a,
   return shared == 0 ? 0.0 : total / static_cast<double>(shared);
 }
 
+namespace {
+
+// Slots of a fresh pair table (log2); it doubles whenever it would pass half
+// full.
+constexpr int kInitialScoreBits = 6;
+
+}  // namespace
+
+ValueSetSimilarityMemo::ValueSetSimilarityMemo(
+    const SimilarityCalculator& similarity)
+    : similarity_(similarity),
+      scores_(size_t{1} << kInitialScoreBits),
+      score_bits_(kInitialScoreBits) {}
+
 size_t ValueSetSimilarityMemo::ValueSetHash::operator()(
     const ValueSet& values) const {
   Fnv1a hash;
@@ -93,16 +109,41 @@ ValueSetSimilarityMemo::InternedValues ValueSetSimilarityMemo::Intern(
   return interned;
 }
 
+size_t ValueSetSimilarityMemo::Probe(uint64_t key) const {
+  const size_t mask = scores_.size() - 1;
+  size_t slot =
+      static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - score_bits_));
+  while (scores_[slot].key != key && scores_[slot].key != kEmptyKey) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void ValueSetSimilarityMemo::GrowScores() {
+  std::vector<Slot> old(size_t{1} << (score_bits_ + 1));
+  old.swap(scores_);
+  ++score_bits_;
+  for (const Slot& slot : old) {
+    if (slot.key != kEmptyKey) scores_[Probe(slot.key)] = slot;
+  }
+}
+
 double ValueSetSimilarityMemo::Similarity(SetId a, SetId b) {
   const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-  const auto [it, inserted] = scores_.try_emplace(key, 0.0);
-  if (!inserted) {
+  size_t slot = Probe(key);
+  if (scores_[slot].key == key) {
     ++hits_;
-    return it->second;
+    return scores_[slot].score;
   }
   ++misses_;
-  it->second = Compute(a, b);
-  return it->second;
+  const double score = Compute(a, b);
+  if (2 * (num_scores_ + 1) > scores_.size()) {
+    GrowScores();
+    slot = Probe(key);
+  }
+  scores_[slot] = Slot{key, score};
+  ++num_scores_;
+  return score;
 }
 
 double ValueSetSimilarityMemo::Compute(SetId a, SetId b) {
@@ -112,22 +153,48 @@ double ValueSetSimilarityMemo::Compute(SetId a, SetId b) {
       (x.size() == 1 && y.size() == 1)) {
     return similarity_.ValueSetSimilarity(x, y);
   }
-  // TfIdfModel::CosineSimilarity on the cached vectors.
+  // TfIdfModel::CosineSimilarity, i.e. SparseCosine(Vectorize(x),
+  // Vectorize(y)), on the cached terms.
   const Entry& vx = Vectorized(a);
   const Entry& vy = Vectorized(b);
-  if (vx.empty_bag && vy.empty_bag) return 1.0;
-  if (vx.empty_bag || vy.empty_bag) return 0.0;
-  return SparseCosine(vx.vector, vy.vector, vx.norm_sq, vy.norm_sq);
+  if (vx.terms.empty() && vy.terms.empty()) return 1.0;
+  if (vx.terms.empty() || vy.terms.empty()) return 0.0;
+  const Entry& small = vx.terms.size() <= vy.terms.size() ? vx : vy;
+  const Entry& large = vx.terms.size() <= vy.terms.size() ? vy : vx;
+  double dot = 0.0;
+  for (const auto& [token, weight] : small.terms) {
+    // A token whose bit is clear in `large` cannot be there; skipping it
+    // skips an addition the map walk would not make either.
+    if (((large.id_bits >> (token % 64)) & 1) == 0) continue;
+    const auto it = std::lower_bound(
+        large.by_id.begin(), large.by_id.end(), token,
+        [](const Term& term, uint32_t id) { return term.first < id; });
+    if (it != large.by_id.end() && it->first == token) {
+      dot += weight * it->second;
+    }
+  }
+  if (ApproxZero(vx.norm_sq) || ApproxZero(vy.norm_sq)) return 0.0;
+  return dot / std::sqrt(vx.norm_sq * vy.norm_sq);
 }
 
 const ValueSetSimilarityMemo::Entry& ValueSetSimilarityMemo::Vectorized(
     SetId id) {
   Entry& entry = entries_[id];
   if (!entry.vectorized) {
-    const std::vector<std::string> tokens = ValueSetTokens(*entry.values);
-    entry.empty_bag = tokens.empty();
-    entry.vector = similarity_.tfidf_model()->Vectorize(tokens);
-    entry.norm_sq = SquaredNorm(entry.vector);
+    const SparseVector vector =
+        similarity_.tfidf_model()->Vectorize(ValueSetTokens(*entry.values));
+    entry.norm_sq = SquaredNorm(vector);
+    entry.terms.reserve(vector.size());
+    for (const auto& [token, weight] : vector) {
+      const uint32_t token_id =
+          token_ids_
+              .try_emplace(token, static_cast<uint32_t>(token_ids_.size()))
+              .first->second;
+      entry.terms.emplace_back(token_id, weight);
+      entry.id_bits |= uint64_t{1} << (token_id % 64);
+    }
+    entry.by_id = entry.terms;
+    std::sort(entry.by_id.begin(), entry.by_id.end());
     entry.vectorized = true;
   }
   return entry;

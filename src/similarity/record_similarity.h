@@ -65,12 +65,15 @@ class SimilarityCalculator {
 
 /// Memo of `SimilarityCalculator::ValueSetSimilarity` for one Phase I run
 /// (Algorithm 2). Each distinct value set is interned to a dense id; the
-/// TF-IDF vector of each id, its squared norm and the score of each ordered
+/// TF-IDF terms of each id, its squared norm and the score of each ordered
 /// id pair are computed once. Every score is exactly what
-/// `ValueSetSimilarity(a, b)` returns: the function is pure, keys keep the
-/// argument order, and the cosine runs `SparseCosine` on the same
-/// `Vectorize` outputs that `TfIdfModel::CosineSimilarity` builds, with
-/// norms summed over those same vector objects.
+/// `ValueSetSimilarity(a, b)` returns: the function is pure and keys keep the
+/// argument order. The cosine is `SparseCosine` run on token ids: each set
+/// keeps its `Vectorize` map's terms as (token id, weight) in that map's
+/// iteration order plus a copy sorted by id, and the dot product walks the
+/// smaller set's terms in that recorded order, so it adds the same products
+/// in the same order as `TfIdfModel::CosineSimilarity`, with norms summed
+/// over the same maps.
 ///
 /// Not thread-safe. It is meant to live on the stack of one call, so it
 /// needs no lock and no eviction; its memory goes when the call returns.
@@ -82,8 +85,7 @@ class ValueSetSimilarityMemo {
   using InternedValues = std::vector<std::pair<Attribute, SetId>>;
 
   /// `similarity` and its TF-IDF model must outlive the memo.
-  explicit ValueSetSimilarityMemo(const SimilarityCalculator& similarity)
-      : similarity_(similarity) {}
+  explicit ValueSetSimilarityMemo(const SimilarityCalculator& similarity);
 
   /// Dense id of `values`; equal sets get equal ids.
   SetId Intern(const ValueSet& values);
@@ -101,7 +103,7 @@ class ValueSetSimilarityMemo {
   double MeanSimilarity(const InternedValues& record,
                         const InternedValues& state);
 
-  /// Similarity lookups answered from the pair cache, and those computed.
+  /// Similarity lookups answered from the pair table, and those computed.
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
 
@@ -109,21 +111,43 @@ class ValueSetSimilarityMemo {
   struct ValueSetHash {
     size_t operator()(const ValueSet& values) const;
   };
+  /// One TF-IDF term: (token id, weight).
+  using Term = std::pair<uint32_t, double>;
   struct Entry {
     const ValueSet* values = nullptr;  // the key in ids_; node keys never move
     bool vectorized = false;
-    bool empty_bag = false;  // no token in any value (TF-IDF path only)
-    SparseVector vector;
-    double norm_sq = 0.0;  // SquaredNorm(vector)
+    // The terms of Vectorize(ValueSetTokens(*values)) in the map's
+    // iteration order, and the same terms sorted by token id; empty iff the
+    // token bag is (TF-IDF path only).
+    std::vector<Term> terms;
+    std::vector<Term> by_id;
+    uint64_t id_bits = 0;  // bit id % 64 set for each term
+    double norm_sq = 0.0;  // SquaredNorm of that map
+  };
+  // a == b == 2^32 - 1 would need 2^32 interned sets.
+  static constexpr uint64_t kEmptyKey = ~uint64_t{0};
+  /// A slot of the open-addressing pair table.
+  struct Slot {
+    uint64_t key = kEmptyKey;  // a << 32 | b
+    double score = 0.0;
   };
 
   double Compute(SetId a, SetId b);
   const Entry& Vectorized(SetId id);
+  /// The slot holding `key`, or the empty slot where it belongs.
+  size_t Probe(uint64_t key) const;
+  void GrowScores();
 
   const SimilarityCalculator& similarity_;
   std::unordered_map<ValueSet, SetId, ValueSetHash> ids_;
   std::vector<Entry> entries_;
-  std::unordered_map<uint64_t, double> scores_;  // (a << 32 | b) -> score
+  std::unordered_map<std::string, uint32_t> token_ids_;
+  // Linear probing over a power-of-two table at most half full; the home
+  // slot is the top `score_bits_` bits of key * 2^64/phi, because the low
+  // bits of a key depend on `b` alone.
+  std::vector<Slot> scores_;
+  int score_bits_ = 0;
+  size_t num_scores_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };

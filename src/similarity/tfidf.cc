@@ -58,11 +58,8 @@ double SquaredNorm(const SparseVector& v) {
 }
 
 double SparseCosine(const SparseVector& a, const SparseVector& b) {
-  return SparseCosine(a, b, SquaredNorm(a), SquaredNorm(b));
-}
-
-double SparseCosine(const SparseVector& a, const SparseVector& b,
-                    double norm_sq_a, double norm_sq_b) {
+  const double norm_sq_a = SquaredNorm(a);
+  const double norm_sq_b = SquaredNorm(b);
   const SparseVector& small = a.size() <= b.size() ? a : b;
   const SparseVector& large = a.size() <= b.size() ? b : a;
   double dot = 0.0;

@@ -55,12 +55,6 @@ double SquaredNorm(const SparseVector& v);
 /// Cosine similarity between two sparse vectors (not assumed normalized).
 double SparseCosine(const SparseVector& a, const SparseVector& b);
 
-/// SparseCosine with the squared norms given: `norm_sq_a` and `norm_sq_b`
-/// must be SquaredNorm of these same `a` and `b` objects (an unordered map's
-/// copy may iterate, and so round, differently).
-double SparseCosine(const SparseVector& a, const SparseVector& b,
-                    double norm_sq_a, double norm_sq_b);
-
 }  // namespace maroon
 
 #endif  // MAROON_SIMILARITY_TFIDF_H_

@@ -1,9 +1,12 @@
 #include "similarity/record_similarity.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "clustering/partition_clusterer.h"
 #include "datagen/dblp_generator.h"
+#include "datagen/recruitment_generator.h"
 #include "eval/experiment.h"
 #include "similarity/string_metrics.h"
 
@@ -190,30 +193,27 @@ TEST(ValueSetSimilarityMemoTest, EqualsCalculatorOnEdgeCases) {
             with_model.ValueSetSimilarity(sets[6], sets[5]));
 }
 
-TEST(ValueSetSimilarityMemoTest, EqualsCalculatorOnDblpNameBlock) {
-  DblpOptions options;
-  options.seed = 11;
-  options.num_entities = 60;
-  options.num_names = 10;
-  const Dataset dataset = GenerateDblpCorpus(options).dataset;
+// Clusters one name block of `dataset` as Phase I does, with the TF-IDF
+// model Experiment::Prepare fits over every record's token bag; every
+// (record, majority state) value-set pair on a shared attribute must score
+// exactly as without the memo. Returns how many of those pairs had a
+// multi-valued side.
+size_t ExpectMemoEqualsCalculatorOnNameBlock(const Dataset& dataset) {
   Experiment experiment(&dataset);
-  experiment.Prepare();  // fits TF-IDF over every record's token bag
+  experiment.Prepare();
   const SimilarityCalculator& calc = experiment.similarity();
-  ASSERT_NE(calc.tfidf_model(), nullptr);
+  EXPECT_NE(calc.tfidf_model(), nullptr);
 
-  // One name block, clustered as Phase I does; every (record, majority
-  // state) value-set pair on a shared attribute must score exactly as
-  // without the memo.
   const EntityId& entity = dataset.targets().begin()->first;
   std::vector<const TemporalRecord*> block;
   for (RecordId id : dataset.CandidatesFor(entity)) {
     block.push_back(&dataset.record(id));
   }
-  ASSERT_GT(block.size(), 20u);
+  EXPECT_GT(block.size(), 20u);
   ValueSetSimilarityMemo memo(calc);
   const std::vector<Cluster> clusters =
       PartitionClusterer().ClusterRecords(block, memo);
-  ASSERT_GT(clusters.size(), 1u);
+  EXPECT_GT(clusters.size(), 1u);
 
   size_t set_valued = 0;
   for (const TemporalRecord* r : block) {
@@ -229,7 +229,97 @@ TEST(ValueSetSimilarityMemoTest, EqualsCalculatorOnDblpNameBlock) {
       }
     }
   }
-  EXPECT_GT(set_valued, 0u) << "the block never reached the TF-IDF path";
+  return set_valued;
+}
+
+TEST(ValueSetSimilarityMemoTest, EqualsCalculatorOnDblpNameBlock) {
+  DblpOptions options;
+  options.seed = 11;
+  options.num_entities = 60;
+  options.num_names = 10;
+  EXPECT_GT(ExpectMemoEqualsCalculatorOnNameBlock(
+                GenerateDblpCorpus(options).dataset),
+            0u)
+      << "the block never reached the TF-IDF path";
+}
+
+TEST(ValueSetSimilarityMemoTest, EqualsCalculatorOnRecruitmentNameBlock) {
+  RecruitmentOptions options;
+  options.seed = 11;
+  options.num_entities = 60;
+  options.num_names = 10;
+  ExpectMemoEqualsCalculatorOnNameBlock(GenerateRecruitmentDataset(options));
+}
+
+TEST(ValueSetSimilarityMemoTest, PairTableGrowthKeepsScoresAndCounts) {
+  // 48 distinct sets give 2,304 ordered pairs, so the pair table grows from
+  // its initial size several times; the sets share tokens, so the TF-IDF
+  // terms of different sets meet on shared ids.
+  const std::vector<std::string> words = {"Quest", "Vertex", "Labs",
+                                          "Software", "Springfield", "S3"};
+  std::vector<ValueSet> sets;
+  for (size_t i = 0; i < words.size(); ++i) {
+    sets.push_back(MakeValueSet({words[i]}));
+    sets.push_back(MakeValueSet({words[i] + " " + words[(i + 1) % 6]}));
+    for (size_t j = i + 1; j < words.size(); ++j) {
+      sets.push_back(MakeValueSet({words[i], words[j]}));
+      sets.push_back(MakeValueSet({words[i], words[j], "Aelita"}));
+    }
+  }
+  sets.push_back({});
+  sets.push_back(MakeValueSet({"--", "!!"}));
+  sets.push_back(MakeValueSet({"Quest Software", "Quest"}));
+  sets.push_back(MakeValueSet({"XJek"}));
+  sets.push_back(MakeValueSet({"Labs", "Labs Vertex", "quest"}));
+  sets.push_back(MakeValueSet({"vertex labs"}));
+  ASSERT_EQ(sets.size(), 48u);
+
+  TfIdfModel tfidf;
+  for (const ValueSet& set : sets) tfidf.AddDocument(ValueSetTokens(set));
+  SimilarityCalculator calc;
+  calc.SetTfIdfModel(&tfidf);
+
+  // Look the pairs up in a scrambled order, each several times; a lookup
+  // misses exactly when its ordered pair is new.
+  ValueSetSimilarityMemo memo(calc);
+  std::set<std::pair<size_t, size_t>> seen;
+  int64_t expected_hits = 0;
+  int64_t expected_misses = 0;
+  const size_t n = sets.size();
+  for (size_t step = 0; step < 3 * n * n; ++step) {
+    const size_t a = (step * 7919) % n;
+    const size_t b = (step * 104729 / n + step) % n;
+    if (seen.insert({a, b}).second) {
+      ++expected_misses;
+    } else {
+      ++expected_hits;
+    }
+    ASSERT_EQ(memo.Similarity(sets[a], sets[b]),
+              calc.ValueSetSimilarity(sets[a], sets[b]))
+        << ValueSetToString(sets[a]) << " vs " << ValueSetToString(sets[b]);
+  }
+  EXPECT_GT(seen.size(), n * n / 2);
+  EXPECT_EQ(memo.misses(), expected_misses);
+  EXPECT_EQ(memo.hits(), expected_hits);
+
+  // Every pair, twice more: the first pass misses on the pairs not seen
+  // yet, the second answers all of them from the table.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t a = 0; a < n; ++a) {
+      for (size_t b = 0; b < n; ++b) {
+        if (seen.insert({a, b}).second) {
+          ++expected_misses;
+        } else {
+          ++expected_hits;
+        }
+        ASSERT_EQ(memo.Similarity(sets[a], sets[b]),
+                  calc.ValueSetSimilarity(sets[a], sets[b]));
+      }
+    }
+  }
+  EXPECT_EQ(memo.misses(), static_cast<int64_t>(n * n));
+  EXPECT_EQ(memo.misses(), expected_misses);
+  EXPECT_EQ(memo.hits(), expected_hits);
 }
 
 }  // namespace

@@ -31,10 +31,11 @@ TEST(JaroTest, Symmetric) {
 }
 
 TEST(JaroTest, LongStringsAroundTheStackFlagBound) {
-  // Match flags sit on the stack while the two lengths sum to at most 128
-  // and on the heap above that; the scores follow the closed forms either
-  // way. n a's against (n - 1) a's and a 'b': n - 1 matches, none
-  // transposed.
+  // A second string of at most 64 bytes takes the bit-parallel path; a
+  // longer one takes the loop, whose match flags sit on the stack while the
+  // two lengths sum to at most 128 and on the heap above that. The scores
+  // follow the closed forms on every path. n a's against (n - 1) a's and a
+  // 'b': n - 1 matches, none transposed.
   for (size_t n : {63u, 64u, 65u, 100u}) {
     const std::string a(n, 'a');
     const std::string b = std::string(n - 1, 'a') + "b";
@@ -43,8 +44,8 @@ TEST(JaroTest, LongStringsAroundTheStackFlagBound) {
     EXPECT_DOUBLE_EQ(JaroSimilarity(a, b), expected) << "n=" << n;
     EXPECT_DOUBLE_EQ(JaroSimilarity(b, a), expected) << "n=" << n;
   }
-  // Lengths 64 + 64 (stack) and 64 + 65 (heap): "ab..." vs "ba..." has every
-  // character matched and one transposition.
+  // Lengths 64 + 64 (bit-parallel) and 64 + 65 (loop, heap flags): "ab..."
+  // vs "ba..." has every character matched and one transposition.
   const std::string ab = "ab" + std::string(62, 'x');
   const std::string ba = "ba" + std::string(62, 'x');
   EXPECT_DOUBLE_EQ(JaroSimilarity(ab, ba), (1.0 + 1.0 + 63.0 / 64.0) / 3.0);
