@@ -49,15 +49,8 @@ size_t SourceSimulator::EmitRecords(const EntityProfile& ground_truth,
       if (!rng.Bernoulli(coverage)) continue;
 
       auto fresh_it = config_.fresh_probability.find(attribute);
-      double fresh_p =
+      const double fresh_p =
           fresh_it != config_.fresh_probability.end() ? fresh_it->second : 1.0;
-      if (!config_.fresh_probability_after.empty() &&
-          t >= config_.freshness_change_year) {
-        auto late_it = config_.fresh_probability_after.find(attribute);
-        if (late_it != config_.fresh_probability_after.end()) {
-          fresh_p = late_it->second;
-        }
-      }
       int64_t delay = 0;
       if (!rng.Bernoulli(fresh_p)) {
         auto decay_it = config_.stale_decay.find(attribute);

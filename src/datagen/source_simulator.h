@@ -32,12 +32,6 @@ struct SourceConfig {
   std::map<Attribute, double> fresh_probability;
   /// Per attribute: given a stale publication, delay = 1 + Geometric(decay).
   std::map<Attribute, double> stale_decay;
-  /// Optional time-varying freshness: from `freshness_change_year` onwards,
-  /// `fresh_probability_after` overrides `fresh_probability` (a source that
-  /// cleaned up — or let slip — its pipeline; exercises the epoch-bucketed
-  /// freshness model).
-  std::map<Attribute, double> fresh_probability_after;
-  TimePoint freshness_change_year = 0;
   /// Per attribute: probability a published value is replaced by a random
   /// wrong value from `error_pool` (publication noise; exercises the
   /// reliability-model extension). Default: no errors.

@@ -102,7 +102,6 @@ void Experiment::Prepare() {
     }
     tfidf_.AddDocument(tokens);
   }
-  similarity_calc_ = SimilarityCalculator(options_.similarity);
   similarity_calc_.SetTfIdfModel(&tfidf_);
 
   BlockerOptions blocker_options;

@@ -69,7 +69,6 @@ struct ExperimentOptions {
   MaroonOptions maroon;
   AfdsOptions afds;
   StaticLinkageOptions static_linkage;
-  SimilarityOptions similarity;
 };
 
 /// Aggregated results of one method over the test entities.

@@ -38,45 +38,13 @@ void FreshnessModel::AddObservation(SourceId source,
   ++dist.total;
 }
 
-void FreshnessModel::AddObservation(SourceId source,
-                                    const Attribute& attribute, int64_t delay,
-                                    TimePoint published_at) {
-  AddObservation(source, attribute, delay);
-  if (options_.epoch_width <= 0) return;
-  Distribution& dist =
-      epoch_distributions_[{source, attribute}][EpochOf(published_at)];
-  ++dist.counts[delay];
-  ++dist.total;
-}
-
-int64_t FreshnessModel::EpochOf(TimePoint published_at) const {
-  MAROON_DCHECK(options_.epoch_width > 0);
-  // Floor division that behaves for negative time points too.
-  int64_t t = published_at;
-  int64_t w = options_.epoch_width;
-  return t >= 0 ? t / w : -((-t + w - 1) / w);
-}
-
-namespace {
-void FinalizeDistribution(
-    std::map<int64_t, int64_t>& counts,
-    std::map<int64_t, double>& probabilities, int64_t total) {
-  probabilities.clear();
-  if (total == 0) return;
-  for (const auto& [eta, count] : counts) {
-    probabilities[eta] =
-        static_cast<double>(count) / static_cast<double>(total);
-  }
-}
-}  // namespace
-
 void FreshnessModel::Finalize() {
   for (auto& [key, dist] : distributions_) {
-    FinalizeDistribution(dist.counts, dist.probabilities, dist.total);
-  }
-  for (auto& [key, epochs] : epoch_distributions_) {
-    for (auto& [epoch, dist] : epochs) {
-      FinalizeDistribution(dist.counts, dist.probabilities, dist.total);
+    dist.probabilities.clear();
+    if (dist.total == 0) continue;
+    for (const auto& [eta, count] : dist.counts) {
+      dist.probabilities[eta] =
+          static_cast<double>(count) / static_cast<double>(dist.total);
     }
   }
   finalized_ = true;
@@ -87,39 +55,10 @@ double FreshnessModel::Delay(int64_t eta, SourceId source,
   MAROON_DCHECK(finalized_);
   auto it = distributions_.find({source, attribute});
   if (it == distributions_.end() || it->second.total == 0) {
-    if (options_.missing_data_is_fresh) return eta == 0 ? 1.0 : 0.0;
-    return 0.0;
+    return eta == 0 ? 1.0 : 0.0;
   }
   auto p = it->second.probabilities.find(eta);
   return p != it->second.probabilities.end() ? p->second : 0.0;
-}
-
-double FreshnessModel::Delay(int64_t eta, SourceId source,
-                             const Attribute& attribute,
-                             TimePoint published_at) const {
-  MAROON_DCHECK(finalized_);
-  if (options_.epoch_width > 0) {
-    auto it = epoch_distributions_.find({source, attribute});
-    if (it != epoch_distributions_.end()) {
-      auto epoch_it = it->second.find(EpochOf(published_at));
-      if (epoch_it != it->second.end() &&
-          epoch_it->second.total >= options_.min_epoch_observations) {
-        auto p = epoch_it->second.probabilities.find(eta);
-        return p != epoch_it->second.probabilities.end() ? p->second : 0.0;
-      }
-    }
-  }
-  return Delay(eta, source, attribute);
-}
-
-int64_t FreshnessModel::EpochObservationCount(SourceId source,
-                                              const Attribute& attribute,
-                                              TimePoint published_at) const {
-  if (options_.epoch_width <= 0) return 0;
-  auto it = epoch_distributions_.find({source, attribute});
-  if (it == epoch_distributions_.end()) return 0;
-  auto epoch_it = it->second.find(EpochOf(published_at));
-  return epoch_it != it->second.end() ? epoch_it->second.total : 0;
 }
 
 bool FreshnessModel::IsFresh(SourceId source,
@@ -146,10 +85,9 @@ int64_t FreshnessModel::ObservationCount(SourceId source,
 }
 
 FreshnessModel FreshnessModel::Train(
-    const Dataset& dataset, const std::vector<EntityId>& training_entities,
-    FreshnessModelOptions options) {
+    const Dataset& dataset, const std::vector<EntityId>& training_entities) {
   MAROON_TRACE_SPAN("freshness.train");
-  FreshnessModel model(options);
+  FreshnessModel model;
   int64_t observations = 0;
   std::set<EntityId> training(training_entities.begin(),
                               training_entities.end());
@@ -166,7 +104,7 @@ FreshnessModel FreshnessModel::Train(
         std::optional<int64_t> delay = ComputeDelay(seq, v, r.timestamp());
         if (delay) {
           ++observations;
-          model.AddObservation(r.source(), attribute, *delay, r.timestamp());
+          model.AddObservation(r.source(), attribute, *delay);
         }
       }
     }
@@ -213,32 +151,17 @@ Status ParseFreshnessInt(const std::string& cell, int64_t* out) {
   return Status::OK();
 }
 
-constexpr char kFreshnessFormat[] = "maroon_freshness_model_v1";
+constexpr char kFreshnessFormat[] = "maroon_freshness_model_v2";
 
 }  // namespace
 
 std::string FreshnessModel::Serialize() const {
   CsvWriter writer;
   writer.AppendRow({"format", kFreshnessFormat});
-  writer.AppendRow({"option", "missing_data_is_fresh",
-                    options_.missing_data_is_fresh ? "1" : "0"});
-  writer.AppendRow({"option", "epoch_width",
-                    std::to_string(options_.epoch_width)});
-  writer.AppendRow({"option", "min_epoch_observations",
-                    std::to_string(options_.min_epoch_observations)});
   for (const auto& [key, dist] : distributions_) {
     for (const auto& [eta, count] : dist.counts) {
       writer.AppendRow({"delay", std::to_string(key.first), key.second,
                         std::to_string(eta), std::to_string(count)});
-    }
-  }
-  for (const auto& [key, epochs] : epoch_distributions_) {
-    for (const auto& [epoch, dist] : epochs) {
-      for (const auto& [eta, count] : dist.counts) {
-        writer.AppendRow({"epoch_delay", std::to_string(key.first),
-                          key.second, std::to_string(epoch),
-                          std::to_string(eta), std::to_string(count)});
-      }
     }
   }
   return writer.text();
@@ -249,28 +172,15 @@ Result<FreshnessModel> FreshnessModel::Deserialize(const std::string& text) {
   if (rows.empty() || rows[0].size() < 2 || rows[0][0] != "format" ||
       rows[0][1] != kFreshnessFormat) {
     return Status::InvalidArgument(
-        "not a serialized freshness model (missing format header)");
+        std::string("not a serialized freshness model (expected format ") +
+        kFreshnessFormat + ")");
   }
   FreshnessModel model;
   for (size_t i = 1; i < rows.size(); ++i) {
     const auto& row = rows[i];
     if (row.empty()) continue;
     const std::string& kind = row[0];
-    if (kind == "option") {
-      if (row.size() != 3) {
-        return Status::InvalidArgument("malformed option row " +
-                                       std::to_string(i));
-      }
-      int64_t value = 0;
-      MAROON_RETURN_IF_ERROR(ParseFreshnessInt(row[2], &value));
-      if (row[1] == "missing_data_is_fresh") {
-        model.options_.missing_data_is_fresh = value != 0;
-      } else if (row[1] == "epoch_width") {
-        model.options_.epoch_width = value;
-      } else if (row[1] == "min_epoch_observations") {
-        model.options_.min_epoch_observations = value;
-      }
-    } else if (kind == "delay") {
+    if (kind == "delay") {
       if (row.size() != 5) {
         return Status::InvalidArgument("malformed delay row " +
                                        std::to_string(i));
@@ -281,21 +191,6 @@ Result<FreshnessModel> FreshnessModel::Deserialize(const std::string& text) {
       MAROON_RETURN_IF_ERROR(ParseFreshnessInt(row[4], &count));
       Distribution& dist =
           model.distributions_[{static_cast<SourceId>(source), row[2]}];
-      dist.counts[eta] += count;
-      dist.total += count;
-    } else if (kind == "epoch_delay") {
-      if (row.size() != 6) {
-        return Status::InvalidArgument("malformed epoch_delay row " +
-                                       std::to_string(i));
-      }
-      int64_t source = 0, epoch = 0, eta = 0, count = 0;
-      MAROON_RETURN_IF_ERROR(ParseFreshnessInt(row[1], &source));
-      MAROON_RETURN_IF_ERROR(ParseFreshnessInt(row[3], &epoch));
-      MAROON_RETURN_IF_ERROR(ParseFreshnessInt(row[4], &eta));
-      MAROON_RETURN_IF_ERROR(ParseFreshnessInt(row[5], &count));
-      Distribution& dist =
-          model.epoch_distributions_[{static_cast<SourceId>(source),
-                                      row[2]}][epoch];
       dist.counts[eta] += count;
       dist.total += count;
     } else {

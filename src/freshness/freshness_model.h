@@ -25,60 +25,23 @@ namespace maroon {
 std::optional<int64_t> ComputeDelay(const TemporalSequence& seq, const Value& v,
                                     TimePoint t);
 
-/// Options for the freshness model.
-struct FreshnessModelOptions {
-  /// When a (source, attribute) pair has no training observations, treat the
-  /// source as perfectly fresh on that attribute (Delay(0)=1, else 0) if
-  /// true; as completely unknown (all probabilities 0) if false.
-  bool missing_data_is_fresh = true;
-
-  /// Width (in time instants) of publication-time epochs for the
-  /// time-varying extension (paper §6: "the freshness of a particular source
-  /// can change over time"). 0 keeps a single distribution per
-  /// (source, attribute); with W > 0, timestamped observations also feed an
-  /// epoch-local distribution consulted by the timestamped Delay overload.
-  int64_t epoch_width = 0;
-  /// Epoch-local distributions with fewer observations than this fall back
-  /// to the global distribution.
-  int64_t min_epoch_observations = 10;
-};
-
 /// The paper's §4.2 source-quality model: for each source s and attribute A,
 /// a distribution Delay(η, s, A) over update delays, learnt by comparing
 /// published records against the true profiles of the entities they refer to.
 class FreshnessModel {
  public:
-  explicit FreshnessModel(FreshnessModelOptions options = {})
-      : options_(options) {}
-
   /// Records one observed delay for (source, attribute).
   void AddObservation(SourceId source, const Attribute& attribute,
                       int64_t delay);
-
-  /// Records one observed delay together with the record's publication
-  /// instant; feeds both the global and (when epoch_width > 0) the
-  /// epoch-local distribution.
-  void AddObservation(SourceId source, const Attribute& attribute,
-                      int64_t delay, TimePoint published_at);
 
   /// Normalizes the per-(source, attribute) counts into distributions.
   /// Must be called after the last AddObservation and before queries.
   void Finalize();
 
   /// Delay(η, s, A): the probability that source `s` publishes attribute `A`
-  /// with delay exactly `η`.
+  /// with delay exactly `η`. A (source, attribute) pair without training
+  /// observations is treated as perfectly fresh: Delay(0)=1, else 0.
   double Delay(int64_t eta, SourceId source, const Attribute& attribute) const;
-
-  /// Time-varying Delay(η, s, A, t): uses the epoch containing
-  /// `published_at` when it holds enough observations; falls back to the
-  /// global distribution otherwise (identical to Delay(η, s, A) when
-  /// epoch_width is 0).
-  double Delay(int64_t eta, SourceId source, const Attribute& attribute,
-               TimePoint published_at) const;
-
-  /// Number of observations in the epoch containing `published_at`.
-  int64_t EpochObservationCount(SourceId source, const Attribute& attribute,
-                                TimePoint published_at) const;
 
   /// True iff Delay(0, s, A) > mu for every attribute in `attributes`
   /// (the paper's fresh-source predicate, §4.3.1).
@@ -98,14 +61,13 @@ class FreshnessModel {
   /// ground-truth profile via Eq. 9. `training_entities` must be target
   /// entities of the dataset; unknown ids are skipped.
   static FreshnessModel Train(const Dataset& dataset,
-                              const std::vector<EntityId>& training_entities,
-                              FreshnessModelOptions options = {});
+                              const std::vector<EntityId>& training_entities);
 
-  /// Serializes the learnt delay distributions (global and per-epoch) and
-  /// scalar options to a versioned CSV text.
+  /// Serializes the learnt delay counts to a versioned CSV text.
   std::string Serialize() const;
 
-  /// Reconstructs a finalized model from Serialize() output.
+  /// Reconstructs a finalized model from Serialize() output. Text in any
+  /// other format version is refused with InvalidArgument.
   static Result<FreshnessModel> Deserialize(const std::string& text);
 
  private:
@@ -115,13 +77,7 @@ class FreshnessModel {
     int64_t total = 0;
   };
 
-  int64_t EpochOf(TimePoint published_at) const;
-
   std::map<std::pair<SourceId, Attribute>, Distribution> distributions_;
-  /// (source, attribute) -> epoch index -> distribution.
-  std::map<std::pair<SourceId, Attribute>, std::map<int64_t, Distribution>>
-      epoch_distributions_;
-  FreshnessModelOptions options_;
   bool finalized_ = false;
 };
 

@@ -90,9 +90,8 @@ BatchLinkResult BatchLinker::LinkAll(
   // Resolve.
   SimilarityCalculator similarity;
   for (const auto& [rid, claimants] : claims) {
-    if (claimants.size() == 1 || !options_.exclusive_assignment) {
+    if (claimants.size() == 1) {
       result.assignment[rid] = claimants.front();
-      if (claimants.size() > 1) ++result.contested_records;
       continue;
     }
     ++result.contested_records;

@@ -11,11 +11,6 @@ namespace maroon {
 
 /// Options for batch linking.
 struct BatchLinkOptions {
-  /// When true, a record claimed by several target entities is assigned only
-  /// to the entity whose augmented profile explains it best; the others drop
-  /// it from their matched set.
-  bool exclusive_assignment = true;
-
   /// Worker threads for the per-entity linkage loop. <= 0 uses the process
   /// default (--threads / MAROON_THREADS, else 1). The result is identical
   /// at every width: entities link independently against the immutable
@@ -26,7 +21,7 @@ struct BatchLinkOptions {
 
 /// The outcome of linking many targets over a shared record pool.
 struct BatchLinkResult {
-  /// Per-entity linkage (after conflict resolution when exclusive).
+  /// Per-entity linkage, after conflict resolution.
   std::map<EntityId, LinkResult> per_entity;
   /// Final record -> entity assignment (only records linked by someone).
   std::map<RecordId, EntityId> assignment;

@@ -12,11 +12,9 @@ Maroon::Maroon(const TransitionModel* transition,
                const FreshnessModel* freshness,
                const SimilarityCalculator* similarity,
                std::vector<Attribute> schema_attributes, MaroonOptions options)
-    : transition_(transition),
-      freshness_(freshness),
-      similarity_(similarity),
-      schema_attributes_(std::move(schema_attributes)),
-      options_(std::move(options)) {}
+    : generator_(similarity, freshness, schema_attributes, options.cluster),
+      matcher_(transition, std::move(schema_attributes),
+               std::move(options.matcher)) {}
 
 LinkResult Maroon::Link(
     const EntityProfile& clean_profile,
@@ -47,26 +45,14 @@ LinkResult Maroon::Link(
   }
 
   auto start = std::chrono::steady_clock::now();
-  std::vector<GeneratedCluster> clusters;
-  {
-    MAROON_TRACE_SPAN("link.phase1");
-    ClusterGenerator generator(similarity_, freshness_, schema_attributes_,
-                               options_.cluster);
-    generator.SetReliabilityModel(reliability_);
-    generator.SetFusionStrategy(fusion_);
-    clusters = generator.Generate(usable);
-  }
+  const std::vector<GeneratedCluster> clusters = generator_.Generate(usable);
   result.num_clusters = clusters.size();
   result.timings.phase1_seconds = SecondsSince(start);
   MAROON_HISTOGRAM("maroon.link.phase1_seconds")
       ->Record(result.timings.phase1_seconds);
 
   start = std::chrono::steady_clock::now();
-  {
-    MAROON_TRACE_SPAN("link.phase2");
-    ProfileMatcher matcher(transition_, schema_attributes_, options_.matcher);
-    result.match = matcher.MatchAndAugment(clean_profile, clusters);
-  }
+  result.match = matcher_.MatchAndAugment(clean_profile, clusters);
   result.timings.phase2_seconds = SecondsSince(start);
   MAROON_HISTOGRAM("maroon.link.phase2_seconds")
       ->Record(result.timings.phase2_seconds);

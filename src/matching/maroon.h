@@ -61,12 +61,14 @@ class Maroon {
   /// object); nullptr detaches. Phase I weighs Eq. 11 confidences by it
   /// while it is attached.
   void SetReliabilityModel(const ReliabilityModel* reliability) {
-    reliability_ = reliability;
+    generator_.SetReliabilityModel(reliability);
   }
 
   /// Attaches an optional cluster-signature fusion strategy (must outlive
   /// this object); nullptr restores majority vote.
-  void SetFusionStrategy(const FusionStrategy* fusion) { fusion_ = fusion; }
+  void SetFusionStrategy(const FusionStrategy* fusion) {
+    generator_.SetFusionStrategy(fusion);
+  }
 
   /// Runs Phase I + Phase II for one target entity: `clean_profile` is the
   /// entity's known history, `candidates` the records to consider (pointers
@@ -75,19 +77,9 @@ class Maroon {
       const EntityProfile& clean_profile,
       const std::vector<const TemporalRecord*>& candidates) const;
 
-  const MaroonOptions& options() const { return options_; }
-  const std::vector<Attribute>& schema_attributes() const {
-    return schema_attributes_;
-  }
-
  private:
-  const TransitionModel* transition_;
-  const FreshnessModel* freshness_;
-  const ReliabilityModel* reliability_ = nullptr;
-  const FusionStrategy* fusion_ = nullptr;
-  const SimilarityCalculator* similarity_;
-  std::vector<Attribute> schema_attributes_;
-  MaroonOptions options_;
+  ClusterGenerator generator_;  // Phase I, shared by every Link call.
+  ProfileMatcher matcher_;      // Phase II, shared by every Link call.
 };
 
 }  // namespace maroon

@@ -38,8 +38,8 @@ struct SpanRecord {
 /// exported ts/dur containment lets trace viewers rebuild the hierarchy.
 ///
 /// Span names form a dot taxonomy parallel to the metric names:
-/// `cli.link` > `experiment.prepare` > `train.transition`, `link.phase1` >
-/// `phase1.partition`, ... (see docs/observability.md).
+/// `cli.link` > `experiment.prepare` > `transition.train`, `link.entity` >
+/// `phase1.generate` > `phase1.partition`, ... (see docs/observability.md).
 class Tracer {
  public:
   static Tracer& Global();

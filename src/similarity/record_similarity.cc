@@ -10,6 +10,11 @@
 
 namespace maroon {
 
+namespace {
+/// Winkler's prefix weight p for every pairwise value comparison.
+constexpr double kWinklerPrefixWeight = 0.1;
+}  // namespace
+
 std::vector<std::string> ValueSetTokens(const ValueSet& values) {
   std::vector<std::string> tokens;
   for (const Value& v : values) {
@@ -25,8 +30,7 @@ double SimilarityCalculator::ValueSetSimilarity(const ValueSet& a,
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   if (a.size() == 1 && b.size() == 1) {
-    return JaroWinklerSimilarity(a[0], b[0],
-                                 options_.jaro_winkler_prefix_weight);
+    return JaroWinklerSimilarity(a[0], b[0], kWinklerPrefixWeight);
   }
   if (tfidf_ != nullptr) {
     return tfidf_->CosineSimilarity(ValueSetTokens(a), ValueSetTokens(b));
@@ -42,16 +46,16 @@ double SimilarityCalculator::BestPairAlignment(const ValueSet& a,
   for (const Value& v : a) {
     double best = 0.0;
     for (const Value& w : b) {
-      best = std::max(best, JaroWinklerSimilarity(
-                                v, w, options_.jaro_winkler_prefix_weight));
+      best = std::max(best,
+                      JaroWinklerSimilarity(v, w, kWinklerPrefixWeight));
     }
     total += best;
   }
   for (const Value& w : b) {
     double best = 0.0;
     for (const Value& v : a) {
-      best = std::max(best, JaroWinklerSimilarity(
-                                v, w, options_.jaro_winkler_prefix_weight));
+      best = std::max(best,
+                      JaroWinklerSimilarity(v, w, kWinklerPrefixWeight));
     }
     total += best;
   }

@@ -14,27 +14,15 @@
 
 namespace maroon {
 
-/// Configuration for value-set and record similarity.
-struct SimilarityOptions {
-  /// Winkler prefix weight for pairwise value comparison.
-  double jaro_winkler_prefix_weight = 0.1;
-  /// Value sets whose token bags reach this cosine are "the same state".
-  /// Used by callers (clusterers) as a default decision threshold.
-  double value_match_threshold = 0.8;
-};
-
 /// Computes similarities between value sets and between records.
 ///
 /// Implements the paper's §5.1 setup: set-valued attributes are compared with
 /// TF-IDF cosine over their token bags; the similarity of a pair of scalar
-/// values is Jaro-Winkler. When no TF-IDF model is supplied (or an attribute
-/// is single-valued on both sides) the calculator falls back to best-pair
-/// Jaro-Winkler alignment.
+/// values is Jaro-Winkler with Winkler's prefix weight 0.1. When no TF-IDF
+/// model is supplied (or an attribute is single-valued on both sides) the
+/// calculator falls back to best-pair Jaro-Winkler alignment.
 class SimilarityCalculator {
  public:
-  explicit SimilarityCalculator(SimilarityOptions options = {})
-      : options_(options) {}
-
   /// Attaches a fitted TF-IDF model used for set-valued comparisons. The
   /// model must outlive this calculator. Pass nullptr to detach.
   void SetTfIdfModel(const TfIdfModel* model) { tfidf_ = model; }
@@ -54,12 +42,9 @@ class SimilarityCalculator {
   double RecordSimilarity(const TemporalRecord& a,
                           const TemporalRecord& b) const;
 
-  const SimilarityOptions& options() const { return options_; }
-
  private:
   double BestPairAlignment(const ValueSet& a, const ValueSet& b) const;
 
-  SimilarityOptions options_;
   const TfIdfModel* tfidf_ = nullptr;
 };
 

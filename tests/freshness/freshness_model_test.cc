@@ -66,12 +66,6 @@ TEST(FreshnessModelTest, MissingDataDefaultsToFresh) {
   fresh_default.Finalize();
   EXPECT_DOUBLE_EQ(fresh_default.Delay(0, 9, "Title"), 1.0);
   EXPECT_DOUBLE_EQ(fresh_default.Delay(3, 9, "Title"), 0.0);
-
-  FreshnessModelOptions options;
-  options.missing_data_is_fresh = false;
-  FreshnessModel unknown_default(options);
-  unknown_default.Finalize();
-  EXPECT_DOUBLE_EQ(unknown_default.Delay(0, 9, "Title"), 0.0);
 }
 
 TEST(FreshnessModelTest, IsFreshRequiresEveryAttribute) {

@@ -78,26 +78,38 @@ TEST(FreshnessPersistenceTest, RoundTripPreservesDelays) {
   }
 }
 
-TEST(FreshnessPersistenceTest, EpochDistributionsSurvive) {
-  FreshnessModelOptions options;
-  options.epoch_width = 10;
-  options.min_epoch_observations = 2;
-  FreshnessModel original(options);
-  for (int i = 0; i < 4; ++i) original.AddObservation(0, "T", 0, 2003);
-  for (int i = 0; i < 4; ++i) original.AddObservation(0, "T", 3, 2015);
+TEST(FreshnessPersistenceTest, SerializesVersionTwoDelayRowsOnly) {
+  FreshnessModel original;
+  for (int i = 0; i < 3; ++i) original.AddObservation(1, "T", 0);
+  original.AddObservation(1, "T", 2);
   original.Finalize();
+  EXPECT_EQ(original.Serialize(),
+            "format,maroon_freshness_model_v2\n"
+            "delay,1,T,0,3\n"
+            "delay,1,T,2,1\n");
+}
 
-  auto restored = FreshnessModel::Deserialize(original.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_DOUBLE_EQ(restored->Delay(0, 0, "T", 2003), 1.0);
-  EXPECT_DOUBLE_EQ(restored->Delay(3, 0, "T", 2015), 1.0);
-  EXPECT_EQ(restored->EpochObservationCount(0, "T", 2003), 4);
+TEST(FreshnessPersistenceTest, RefusesVersionOneText) {
+  // v1 carried option and epoch_delay rows that v2 has no meaning for;
+  // refusing the whole text keeps a non-default option from being dropped
+  // silently.
+  for (const char* text :
+       {"format,maroon_freshness_model_v1\n"
+        "option,missing_data_is_fresh,0\n"
+        "delay,0,T,0,4\n",
+        "format,maroon_freshness_model_v1\n"
+        "delay,0,T,0,4\n"
+        "epoch_delay,0,T,200,0,4\n"}) {
+    const auto restored = FreshnessModel::Deserialize(text);
+    ASSERT_FALSE(restored.ok()) << text;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(FreshnessPersistenceTest, RejectsGarbage) {
   EXPECT_FALSE(FreshnessModel::Deserialize("junk").ok());
   EXPECT_FALSE(FreshnessModel::Deserialize(
-                   "format,maroon_freshness_model_v1\ndelay,x,T,0,1\n")
+                   "format,maroon_freshness_model_v2\ndelay,x,T,0,1\n")
                    .ok());
 }
 

@@ -65,13 +65,15 @@ TEST_P(BatchLinkerProperty, ExclusivityAndConsistencyHold) {
   }
 
   // 3. Exclusive resolution never *increases* an entity's matched set
-  //    relative to the non-exclusive run.
-  BatchLinkOptions shared;
-  shared.exclusive_assignment = false;
-  const BatchLinkResult raw =
-      BatchLinker(&maroon, shared).LinkAll(dataset, ids);
+  //    relative to per-entity linkage of the same target.
   for (const auto& [id, link] : result.per_entity) {
-    const auto& before = raw.per_entity.at(id).match.matched_records;
+    std::vector<const TemporalRecord*> candidates;
+    for (RecordId rid : dataset.CandidatesFor(id)) {
+      candidates.push_back(&dataset.record(rid));
+    }
+    const LinkResult alone =
+        maroon.Link(dataset.target(id).value()->clean_profile, candidates);
+    const auto& before = alone.match.matched_records;
     const std::set<RecordId> before_set(before.begin(), before.end());
     for (RecordId rid : link.match.matched_records) {
       EXPECT_TRUE(before_set.count(rid) > 0)
